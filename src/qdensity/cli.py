@@ -48,8 +48,6 @@ def _load_distribution_csv(path, order) -> JointDistribution:
     if not lines or lines[0].strip() != DIST_HEADER:
         raise _fail(f"{path}: line 1: expected header {DIST_HEADER!r}")
     entries: dict[tuple[str, str], float] = {}
-    x_order: dict[str, None] = {}
-    y_order: dict[str, None] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
@@ -67,10 +65,10 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         if (x, y) in entries:
             raise _fail(f"{path}: line {lineno}: duplicate pair ({x}, {y})")
         entries[(x, y)] = p
-        x_order.setdefault(x, None)
-        y_order.setdefault(y, None)
     if not entries:
         raise _fail(f"{path}: no probability rows")
+    x_order = dict.fromkeys(x for x, _ in entries)
+    y_order = dict.fromkeys(y for _, y in entries)
     if order is not None:
         xs, ys = _read_order_file(order)
         missing = set(x_order) - set(xs) | set(y_order) - set(ys)
@@ -311,7 +309,7 @@ def parity_train(n, fraction, data, chi, seed, model_path):
             if count < 1:
                 raise _fail(f"fraction {fraction} draws no samples at n={n}")
             ds = mps.draw_even_subset(n, count, seed)
-        model = mps.train(ds, mps.TrainConfig(chi=chi, seed=seed))
+        model = mps.train(ds, mps.TrainConfig(chi=chi))
     except ValueError as exc:
         raise _fail(str(exc))
     mps.save_model(model, model_path)
@@ -365,7 +363,7 @@ def parity_experiment(n, fractions, replicas, seed, chi, out):
     """Subset-fraction benchmark: one CSV row per (fraction, replica)."""
     fracs = _parse_fractions(fractions)
     try:
-        rows = mps.run_experiment(n, fracs, replicas, seed, mps.TrainConfig(chi=chi, seed=seed))
+        rows = mps.run_experiment(n, fracs, replicas, seed, mps.TrainConfig(chi=chi))
     except ValueError as exc:
         raise _fail(str(exc))
     lines = ["fraction,replica,seed,n_samples,bhattacharyya"]

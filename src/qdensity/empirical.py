@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +25,7 @@ __all__ = [
     "EmpiricalGraph",
     "parse_dataset",
     "load_dataset",
+    "cut_counts",
     "empirical_distribution",
     "graph_reduced_density",
     "parity_graph",
@@ -37,28 +37,66 @@ __all__ = [
 PARITY_PREFIX_ORDER = (("0", "0"), ("1", "1"), ("0", "1"), ("1", "0"))
 
 
-@dataclass(frozen=True)
+def _decode(alphabet: Alphabet, codes: np.ndarray) -> tuple[tuple[str, ...], ...]:
+    symbols = np.array(alphabet.symbols, dtype=object)
+    return tuple(map(tuple, symbols[codes].tolist()))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SequenceDataset:
-    """Multiset of fixed-length token sequences over one alphabet."""
+    """Multiset of fixed-length token sequences over one alphabet.
+
+    codes is a read-only (n_samples, length) integer matrix: codes[i, k] is
+    the alphabet index of token k of sample i. Every reduction reads the
+    codes; samples decodes them back to token tuples on request.
+    """
 
     alphabet: Alphabet
-    length: int
-    samples: tuple[tuple[str, ...], ...]
+    codes: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(tuple(s) for s in self.samples))
-        if self.length < 1:
+    def __init__(self, alphabet: Alphabet, length: int, samples: Iterable[Sequence[str]]):
+        if length < 1:
             raise ValueError("sequence length must be positive")
-        tokens = set(self.alphabet)
-        for s in self.samples:
-            if len(s) != self.length:
-                raise ValueError(f"sample {s!r} does not have length {self.length}")
-            if not tokens.issuperset(s):
-                raise ValueError(f"sample {s!r} uses tokens outside the alphabet")
+        lookup = {t: i for i, t in enumerate(alphabet)}
+        rows = []
+        for s in samples:
+            s = tuple(s)
+            if len(s) != length:
+                raise ValueError(f"sample {s!r} does not have length {length}")
+            try:
+                rows.append([lookup[t] for t in s])
+            except KeyError:
+                raise ValueError(f"sample {s!r} uses tokens outside the alphabet") from None
+        self._store(alphabet, np.array(rows, dtype=np.int64).reshape(len(rows), length))
+
+    def _store(self, alphabet: Alphabet, codes: np.ndarray) -> None:
+        codes = codes.astype(np.int64)
+        codes.flags.writeable = False
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def from_codes(cls, alphabet: Alphabet, codes) -> "SequenceDataset":
+        """Dataset over the alphabet from an integer (n_samples, length) code matrix."""
+        arr = np.asarray(codes)
+        ok = not arr.size or arr.dtype.kind in "iu" and 0 <= arr.min() <= arr.max() < len(alphabet)
+        if arr.ndim != 2 or arr.shape[1] < 1 or not ok:
+            raise ValueError(f"codes must be a 2-d matrix of integers in [0, {len(alphabet)})")
+        out = cls.__new__(cls)
+        out._store(alphabet, arr)
+        return out
+
+    @property
+    def length(self) -> int:
+        return self.codes.shape[1]
 
     @property
     def n_samples(self) -> int:
-        return len(self.samples)
+        return self.codes.shape[0]
+
+    @property
+    def samples(self) -> tuple[tuple[str, ...], ...]:
+        return _decode(self.alphabet, self.codes)
 
 
 def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> SequenceDataset:
@@ -84,16 +122,9 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
     if len(lengths) != 1:
         raise ValueError(f"samples have mixed lengths {sorted(lengths)}")
     if alphabet is None:
-        seen = {t for s in samples for t in s}
-        if seen.issubset({"0", "1"}):
-            alphabet = Alphabet(("0", "1"))
-        else:
-            order: dict[str, None] = {}
-            for s in samples:
-                for t in s:
-                    order.setdefault(t, None)
-            alphabet = Alphabet(tuple(order))
-    return SequenceDataset(alphabet, lengths.pop(), tuple(samples))
+        seen = tuple(dict.fromkeys(itertools.chain.from_iterable(samples)))
+        alphabet = Alphabet(("0", "1") if set(seen) <= {"0", "1"} else seen)
+    return SequenceDataset(alphabet, lengths.pop(), samples)
 
 
 def load_dataset(path, alphabet: Alphabet | None = None) -> SequenceDataset:
@@ -101,32 +132,35 @@ def load_dataset(path, alphabet: Alphabet | None = None) -> SequenceDataset:
         return parse_dataset(fh, alphabet)
 
 
-def _split_counts(ds: SequenceDataset, cut: int) -> Counter:
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in first-appearance order, and each row's index among them."""
+    distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.argsort(order)  # sorted position -> first-appearance position
+    # numpy 2.0.x returns the inverse with the input's shape; flatten it
+    return distinct[order], rank[inverse.reshape(-1)]
+
+
+def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count table of the dataset cut into prefix and suffix.
+
+    Returns the distinct prefix and suffix code rows, each in first-appearance
+    order, and counts[i, j], the number of samples made of prefix i followed
+    by suffix j.
+    """
     if not 1 <= cut < ds.length:
         raise ValueError(f"cut must lie in [1, {ds.length - 1}], got {cut}")
-    if not ds.samples:
+    if not ds.n_samples:
         raise ValueError("dataset is empty")
-    return Counter((s[:cut], s[cut:]) for s in ds.samples)
+    prefixes, p_idx = _distinct_rows(ds.codes[:, :cut])
+    suffixes, s_idx = _distinct_rows(ds.codes[:, cut:])
+    shape = (len(prefixes), len(suffixes))
+    counts = np.bincount(p_idx * shape[1] + s_idx, minlength=shape[0] * shape[1])
+    return prefixes, suffixes, counts.reshape(shape)
 
 
-def _first_appearance(pairs: Iterable[tuple], position: int) -> list[tuple[str, ...]]:
-    order: dict[tuple[str, ...], None] = {}
-    for pair in pairs:
-        order.setdefault(pair[position], None)
-    return list(order)
-
-
-def _join(tokens: tuple[str, ...]) -> str:
-    return " ".join(tokens)
-
-
-def _full_prefixes(ds: SequenceDataset, cut: int) -> list[tuple[str, ...]]:
-    if len(ds.alphabet) ** cut > MAX_PRODUCT_DIM:
-        raise ValueError(
-            f"full prefix basis of {len(ds.alphabet)}**{cut} elements exceeds the "
-            f"supported {MAX_PRODUCT_DIM}"
-        )
-    return [tuple(p) for p in itertools.product(ds.alphabet, repeat=cut)]
+def _labels(alphabet: Alphabet, codes: np.ndarray) -> Alphabet:
+    return Alphabet(tuple(" ".join(tokens) for tokens in _decode(alphabet, codes)))
 
 
 def empirical_distribution(
@@ -138,22 +172,20 @@ def empirical_distribution(
     full_prefix_basis the prefix side is padded to the entire product of
     the alphabet with itself, in lexicographic order.
     """
-    counts = _split_counts(ds, cut)
+    prefixes, suffixes, counts = cut_counts(ds, cut)
+    table = counts / ds.n_samples
     if full_prefix_basis:
-        prefixes = _full_prefixes(ds, cut)
-    else:
-        prefixes = _first_appearance(counts, 0)
-    suffixes = _first_appearance(counts, 1)
-    table = np.zeros((len(prefixes), len(suffixes)))
-    pidx = {p: i for i, p in enumerate(prefixes)}
-    sidx = {s: i for i, s in enumerate(suffixes)}
-    for (p, s), c in counts.items():
-        table[pidx[p], sidx[s]] = c / ds.n_samples
-    return JointDistribution(
-        Alphabet(tuple(_join(p) for p in prefixes)),
-        Alphabet(tuple(_join(s) for s in suffixes)),
-        table,
-    )
+        d = len(ds.alphabet)
+        if d**cut > MAX_PRODUCT_DIM:
+            raise ValueError(
+                f"full prefix basis of {d}**{cut} elements exceeds the supported {MAX_PRODUCT_DIM}"
+            )
+        # all d**cut prefixes in lexicographic order: an observed prefix lands
+        # on the row given by the mixed-radix value of its codes
+        padded = np.zeros((d**cut, table.shape[1]))
+        padded[prefixes @ d ** np.arange(cut - 1, -1, -1)] = table
+        table, prefixes = padded, np.indices((d,) * cut).reshape(cut, -1).T
+    return JointDistribution(_labels(ds.alphabet, prefixes), _labels(ds.alphabet, suffixes), table)
 
 
 @dataclass(frozen=True)
@@ -179,21 +211,19 @@ class EmpiricalGraph:
         cls,
         ds: SequenceDataset,
         cut: int,
-        full_prefix_basis: bool = False,
         prefix_order: Iterable[tuple[str, ...]] | None = None,
     ) -> "EmpiricalGraph":
-        counts = _split_counts(ds, cut)
+        prefix_codes, suffix_codes, counts = cut_counts(ds, cut)
+        prefixes = _decode(ds.alphabet, prefix_codes)
+        suffixes = _decode(ds.alphabet, suffix_codes)
+        nonzero = zip(*np.nonzero(counts))
+        edges = {(prefixes[i], suffixes[j]): int(counts[i, j]) for i, j in nonzero}
         if prefix_order is not None:
-            prefixes = [tuple(p) for p in prefix_order]
-            observed = {p for p, _ in counts}
-            if not observed.issubset(prefixes):
+            order = tuple(tuple(p) for p in prefix_order)
+            if not set(prefixes).issubset(order):
                 raise ValueError("prefix_order does not cover all observed prefixes")
-        elif full_prefix_basis:
-            prefixes = _full_prefixes(ds, cut)
-        else:
-            prefixes = _first_appearance(counts, 0)
-        suffixes = _first_appearance(counts, 1)
-        return cls(tuple(prefixes), tuple(suffixes), dict(counts), ds.n_samples)
+            prefixes = order
+        return cls(prefixes, suffixes, edges, ds.n_samples)
 
     def count_matrix(self) -> np.ndarray:
         """Edge multiplicities as a prefixes x suffixes integer table."""
@@ -203,10 +233,6 @@ class EmpiricalGraph:
         for (p, s), c in self.edge_counts.items():
             table[pidx[p], sidx[s]] = c
         return table
-
-    def degrees(self, side: str) -> np.ndarray:
-        table = self.count_matrix()
-        return table.sum(axis=1) if side == "prefix" else table.sum(axis=0)
 
 
 def graph_reduced_density(g: EmpiricalGraph, keep: str) -> DensityMatrix:
@@ -224,10 +250,10 @@ def graph_reduced_density(g: EmpiricalGraph, keep: str) -> DensityMatrix:
     adj = np.sqrt(g.count_matrix())
     if keep == "prefix":
         mat = adj @ adj.T / g.total_edges
-        basis = Alphabet(tuple(_join(p) for p in g.prefixes))
+        basis = Alphabet(tuple(" ".join(p) for p in g.prefixes))
     else:
         mat = adj.T @ adj / g.total_edges
-        basis = Alphabet(tuple(_join(s) for s in g.suffixes))
+        basis = Alphabet(tuple(" ".join(s) for s in g.suffixes))
     return DensityMatrix(basis, mat)
 
 

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from . import linalg
-from .empirical import SequenceDataset, _first_appearance, _split_counts
+from .empirical import SequenceDataset, _decode, _labels, cut_counts
 from .qprob import Alphabet
 
 __all__ = [
@@ -43,43 +43,36 @@ class PatternUnobservedError(ValueError):
 class CorpusState:
     """State of a corpus cut before its last position.
 
-    columns[:, p] is the suffix-space image of observed prefix p under the
-    map associated to the corpus state: entries sqrt(count(prefix, suffix)
-    / n_samples).
+    prefix_codes holds the distinct observed prefixes as alphabet codes, in
+    first-appearance order. columns[:, p] is the suffix-space image of
+    observed prefix p under the map associated to the corpus state: entries
+    sqrt(count(prefix, suffix) / n_samples).
     """
 
     dataset: SequenceDataset
-    prefixes: tuple[tuple[str, ...], ...]
+    prefix_codes: np.ndarray
     prefix_probs: np.ndarray
     suffix_alphabet: Alphabet
     columns: np.ndarray
 
     @classmethod
     def from_dataset(cls, ds: SequenceDataset) -> "CorpusState":
-        if not ds.samples:
-            raise ValueError("dataset is empty")
         if ds.length < 2:
             raise ValueError("corpus sequences must have length at least 2")
-        cut = ds.length - 1
-        counts = _split_counts(ds, cut)
-        prefixes = tuple(_first_appearance(counts, 0))
-        suffixes = _first_appearance(counts, 1)
-        pidx = {p: i for i, p in enumerate(prefixes)}
-        sidx = {s: i for i, s in enumerate(suffixes)}
-        cols = np.zeros((len(suffixes), len(prefixes)))
-        totals = np.zeros(len(prefixes))
-        for (pp, ss), c in counts.items():
-            cols[sidx[ss], pidx[pp]] = np.sqrt(c / ds.n_samples)
-            totals[pidx[pp]] += c
-        totals /= ds.n_samples
-        cols.flags.writeable = False
-        totals.flags.writeable = False
-        suffix_alphabet = Alphabet(tuple(" ".join(s) for s in suffixes))
-        return cls(ds, prefixes, totals, suffix_alphabet, cols)
+        prefixes, suffixes, counts = cut_counts(ds, ds.length - 1)
+        cols = np.ascontiguousarray(np.sqrt(counts / ds.n_samples).T)
+        totals = counts.sum(axis=1) / ds.n_samples
+        for arr in (prefixes, cols, totals):
+            arr.flags.writeable = False
+        return cls(ds, prefixes, totals, _labels(ds.alphabet, suffixes), cols)
 
     @property
     def cut(self) -> int:
         return self.dataset.length - 1
+
+    @property
+    def prefixes(self) -> tuple[tuple[str, ...], ...]:
+        return _decode(self.dataset.alphabet, self.prefix_codes)
 
 
 @dataclass(frozen=True)
@@ -122,12 +115,13 @@ def _normalize_pattern(cs: CorpusState, pattern: Mapping[int, str]) -> tuple[tup
     return tuple(items)
 
 
-def _matching_indices(cs: CorpusState, items: tuple[tuple[int, str], ...]) -> list[int]:
-    return [
-        i
-        for i, prefix in enumerate(cs.prefixes)
-        if all(prefix[pos - 1] == token for pos, token in items)
-    ]
+def _matching_indices(cs: CorpusState, items: tuple[tuple[int, str], ...]) -> np.ndarray:
+    symbols = cs.dataset.alphabet.symbols
+    mask = np.ones(len(cs.prefix_codes), dtype=bool)
+    for pos, token in items:
+        code = symbols.index(token) if token in symbols else -1  # a foreign token matches nothing
+        mask &= cs.prefix_codes[:, pos - 1] == code
+    return np.flatnonzero(mask)
 
 
 def pattern_density(
@@ -140,7 +134,7 @@ def pattern_density(
     """
     items = _normalize_pattern(cs, pattern)
     idx = _matching_indices(cs, items)
-    if not idx:
+    if not idx.size:
         raise PatternUnobservedError(f"pattern unobserved: {dict(items)!r}")
     cols = cs.columns[:, idx]
     mat = cols @ cols.T
@@ -161,14 +155,12 @@ def decompose(
     """
     items = _normalize_pattern(cs, pattern)
     idx = _matching_indices(cs, items)
-    if not idx:
+    if not idx.size:
         raise PatternUnobservedError(f"pattern unobserved: {dict(items)!r}")
     total = cs.prefix_probs[idx].sum()
     out = []
-    for i in idx:
-        prefix = cs.prefixes[i]
-        full = {pos: token for pos, token in enumerate(prefix, start=1)}
-        dens = pattern_density(cs, full, normalized=True)
+    for i, prefix in zip(idx, _decode(cs.dataset.alphabet, cs.prefix_codes[idx])):
+        dens = pattern_density(cs, dict(enumerate(prefix, start=1)), normalized=True)
         out.append((prefix, float(cs.prefix_probs[i] / total), dens))
     return out
 

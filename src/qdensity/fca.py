@@ -64,15 +64,9 @@ class Relation:
         """Build from related pairs, inferring alphabets in first-appearance order."""
         pairs = list(pairs)
         if x_alphabet is None:
-            seen: dict[str, None] = {}
-            for x, _ in pairs:
-                seen.setdefault(x, None)
-            x_alphabet = Alphabet(tuple(seen))
+            x_alphabet = Alphabet(tuple(dict.fromkeys(x for x, _ in pairs)))
         if y_alphabet is None:
-            seen = {}
-            for _, y in pairs:
-                seen.setdefault(y, None)
-            y_alphabet = Alphabet(tuple(seen))
+            y_alphabet = Alphabet(tuple(dict.fromkeys(y for _, y in pairs)))
         table = np.zeros((len(x_alphabet), len(y_alphabet)), dtype=bool)
         for x, y in pairs:
             table[x_alphabet.index(x), y_alphabet.index(y)] = True

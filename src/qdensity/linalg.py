@@ -70,15 +70,11 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError(f"matrix is not symmetric within {tol}")
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's first nonzero coordinate is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
+def _column_signs(vectors: np.ndarray) -> np.ndarray:
+    """Per-column +1 or -1 that makes each column's first nonzero coordinate positive."""
+    nonzero = np.abs(vectors) > _SIGN_EPS
+    first = nonzero & (np.cumsum(nonzero, axis=0) == 1)
+    return np.where((vectors * first).sum(axis=0) < 0, -1.0, 1.0)
 
 
 def _tie_order(values: np.ndarray, key_vectors: np.ndarray) -> list[int]:
@@ -110,7 +106,7 @@ def sym_eigen(m) -> SymEigen:
     _require_symmetric(a)
     w, v = np.linalg.eigh(a)
     w, v = w[::-1], v[:, ::-1]  # eigh is ascending
-    v = _fix_signs(v)
+    v = v * _column_signs(v)
     order = _tie_order(w, v)
     return SymEigen(w[order], np.ascontiguousarray(v[:, order]))
 
@@ -124,13 +120,8 @@ def svd(m) -> Svd:
     """
     a = _as_matrix(m)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt.T
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
-            u[:, j] = -u[:, j]
+    signs = _column_signs(vt.T)
+    u, v = u * signs, vt.T * signs
     order = _tie_order(s, v)
     return Svd(
         np.ascontiguousarray(u[:, order]),

@@ -51,10 +51,9 @@ THREADS_ENV = "QDENSITY_THREADS"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Sweep parameters: truncation rank, default seed, numeric tolerance."""
+    """Sweep parameters: truncation rank and numeric tolerance."""
 
     chi: int = 2
-    seed: int = 0
     tolerance: float = 1e-10
 
     def __post_init__(self):
@@ -100,9 +99,7 @@ class MatrixProductState:
 
 def _sample_arrays(ds: SequenceDataset) -> tuple[np.ndarray, np.ndarray]:
     """Distinct samples as an index matrix plus their amplitude weights."""
-    lookup = {s: i for i, s in enumerate(ds.alphabet)}
-    raw = np.array([[lookup[t] for t in s] for s in ds.samples], dtype=np.int64)
-    distinct, counts = np.unique(raw, axis=0, return_counts=True)
+    distinct, counts = np.unique(ds.codes, axis=0, return_counts=True)
     weights = np.sqrt(counts / ds.n_samples)
     return distinct, weights
 
@@ -130,7 +127,7 @@ def _sweep(ds: SequenceDataset, cfg: TrainConfig):
     n, d = ds.length, len(ds.alphabet)
     if n < 3:
         raise ValueError("training requires sequences of length at least 3")
-    if not ds.samples:
+    if not ds.n_samples:
         raise ValueError("training dataset is empty")
     if cfg.chi > d * d:
         raise ValueError(f"chi={cfg.chi} exceeds the first step's rank bound {d * d}")
@@ -319,12 +316,9 @@ def draw_even_subset(n: int, count: int, seed: int) -> SequenceDataset:
         raise ValueError(f"count must lie in [1, {space}]")
     rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(space, size=count, replace=False))
-    samples = []
-    for code in picks:
-        head = [(int(code) >> (n - 2 - i)) & 1 for i in range(n - 1)]
-        head.append(sum(head) % 2)
-        samples.append(tuple(str(b) for b in head))
-    return SequenceDataset(Alphabet(("0", "1")), n, tuple(samples))
+    head = (picks[:, None] >> np.arange(n - 2, -1, -1)) & 1  # n-1 free bits, most significant first
+    codes = np.column_stack([head, head.sum(axis=1) % 2])
+    return SequenceDataset.from_codes(Alphabet(("0", "1")), codes)
 
 
 @dataclass(frozen=True)
@@ -342,20 +336,21 @@ def _experiment_cell(args: tuple[int, float, int, int, int, float]) -> Experimen
     if count < 1:
         raise ValueError(f"fraction {fraction} draws no samples at n={n}")
     ds = draw_even_subset(n, count, seed)
-    model = train(ds, TrainConfig(chi=chi, seed=seed, tolerance=tolerance))
+    model = train(ds, TrainConfig(chi=chi, tolerance=tolerance))
     overlap = inner_product(model, parity_target(n))
     dist = math.inf if overlap <= 0 else -math.log(min(overlap, 1.0))
     return ExperimentRow(fraction, replica, seed, count, dist)
 
 
 def _max_workers() -> int:
+    cores = os.cpu_count() or 1
     raw = os.environ.get(THREADS_ENV)
     if raw:
         try:
-            return max(1, int(raw))
+            return min(max(1, int(raw)), cores)
         except ValueError:
             raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
+    return cores
 
 
 def run_experiment(
@@ -368,8 +363,8 @@ def run_experiment(
     """Train on seeded subset draws per (fraction, replica) and score each model.
 
     Replica r uses seed base_seed + r for every fraction. Cells may run in
-    parallel (capped by the QDENSITY_THREADS variable); output order and
-    values are identical to a serial run.
+    parallel (capped by the QDENSITY_THREADS variable and the core count);
+    output order and values are identical to a serial run.
     """
     if n > 24:
         raise ValueError("experiment limited to n <= 24")

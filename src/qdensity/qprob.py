@@ -87,9 +87,6 @@ class ProductBasis:
     def __len__(self) -> int:
         return len(self.x) * len(self.y)
 
-    def pair_labels(self) -> tuple[tuple[str, str], ...]:
-        return tuple((xs, ys) for ys in self.y for xs in self.x)
-
 
 @dataclass(frozen=True)
 class JointDistribution:
