@@ -321,17 +321,21 @@ def parity_train(n, fraction, data, chi, seed, model_path):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "-o", type=click.Path(dir_okay=False), default=None)
 def parity_eval(model_path, out):
-    """Distance of a saved model to the uniform even-parity target."""
+    """Overlap of a saved model with the uniform even-parity target.
+
+    The bhattacharyya field is -ln<psi|target>, which is the Bhattacharyya
+    distance of the two Born distributions only when the model's amplitudes
+    on the even strings are nonnegative.
+    """
     try:
         model = mps.load_model(model_path)
         overlap = mps.inner_product(model, mps.parity_target(model.n))
     except (ValueError, KeyError) as exc:
         raise _fail(f"bad model file: {exc}")
-    dist = float("inf") if overlap <= 0 else -np.log(min(overlap, 1.0))
     result = {
         "n": model.n,
         "inner_product": float(overlap),
-        "bhattacharyya": float(dist),
+        "bhattacharyya": mps.overlap_distance(overlap),
     }
     _emit(dumps(result), out)
 

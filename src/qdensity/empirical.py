@@ -25,6 +25,7 @@ __all__ = [
     "EmpiricalGraph",
     "parse_dataset",
     "load_dataset",
+    "line_tokens",
     "cut_counts",
     "empirical_distribution",
     "graph_reduced_density",
@@ -99,6 +100,11 @@ class SequenceDataset:
         return _decode(self.alphabet, self.codes)
 
 
+def line_tokens(line: str) -> tuple[str, ...]:
+    """Tokens of one stripped sample line: space separated, or one per character without spaces."""
+    return tuple(line.split(" ")) if " " in line else tuple(line) if len(line) > 1 else (line,)
+
+
 def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> SequenceDataset:
     """Parse one sample per line; tokens are space separated.
 
@@ -112,7 +118,7 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
         line = raw.strip()
         if not line:
             continue
-        tokens = tuple(line.split(" ")) if " " in line else tuple(line) if len(line) > 1 else (line,)
+        tokens = line_tokens(line)
         if any(not t for t in tokens):
             raise ValueError(f"line {lineno}: malformed sample {raw!r}")
         samples.append(tokens)

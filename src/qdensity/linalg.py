@@ -139,15 +139,13 @@ def is_psd(m, tol: float) -> bool:
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
 
 
-def reshape_vector_to_matrix(v, rows: int, cols: int, layout: str = "suffix-major") -> np.ndarray:
+def reshape_vector_to_matrix(v, rows: int, cols: int) -> np.ndarray:
     """Rearrange a coefficient vector into a rows x cols matrix.
 
-    In the suffix-major layout the vector lists coefficients with the
-    suffix (row) index varying slower, so entry (a, i) of the result is
-    the coefficient of the pair (prefix i, suffix a).
+    The vector lists coefficients suffix-major, with the suffix (row)
+    index varying slower, so entry (a, i) of the result is the coefficient
+    of the pair (prefix i, suffix a).
     """
-    if layout != "suffix-major":
-        raise ValueError(f"unknown layout {layout!r}")
     vec = np.asarray(v, dtype=float)
     if vec.ndim != 1:
         raise ValueError("expected a 1-d vector")
@@ -156,8 +154,6 @@ def reshape_vector_to_matrix(v, rows: int, cols: int, layout: str = "suffix-majo
     return vec.reshape(rows, cols)
 
 
-def flatten_matrix_to_vector(m, layout: str = "suffix-major") -> np.ndarray:
+def flatten_matrix_to_vector(m) -> np.ndarray:
     """Inverse of reshape_vector_to_matrix; round-trips exactly."""
-    if layout != "suffix-major":
-        raise ValueError(f"unknown layout {layout!r}")
     return _as_matrix(m).reshape(-1)

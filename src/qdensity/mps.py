@@ -1,9 +1,14 @@
 """Matrix-product generative model trained by a left-to-right spectral sweep.
 
-The sweep never materializes the full state. At each cut it maps every
-sample's prefix through the isometries collected so far, accumulates the
-reduced density on (bond x physical) from suffix-grouped outer products,
-keeps the top eigenvectors as the next tensor, and finishes with the
+The sweep never materializes the full state. One right-to-left ranking
+pass over the dataset's code matrix gives every sample's suffix rank at
+every position; the ranks of the whole samples pick out and count the
+distinct samples, and the ranks at position k group them by suffix for the
+cut at k. At each cut the sweep maps every distinct sample's prefix through
+the isometries collected so far, sums the weighted (bond x physical)
+vectors of each suffix group with one bincount, forms the reduced density
+from those sums, keeps its top eigenvectors as the next tensor, and applies
+that tensor with one matrix product and one gather. It finishes with the
 untruncated residual map. The resulting chain of order-3 tensors supports
 exact Born probabilities, inner products, ancestral sampling, and the
 subset-fraction experiment.
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from ._format import dumps
-from .empirical import SequenceDataset
+from .empirical import SequenceDataset, line_tokens
 from .qprob import Alphabet
 
 __all__ = [
@@ -39,6 +44,7 @@ __all__ = [
     "parity_target",
     "inner_product",
     "bhattacharyya",
+    "overlap_distance",
     "sample",
     "draw_even_subset",
     "run_experiment",
@@ -63,17 +69,26 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class MatrixProductState:
-    """Chain of order-3 tensors with matching bond dimensions."""
+    """Chain of order-3 tensors with matching bond dimensions.
+
+    alphabet names the physical basis states; it defaults to the index
+    strings "0", ..., "d-1", which are the bits when d = 2.
+    """
 
     n: int
     physical_dim: int
     tensors: tuple[np.ndarray, ...]
+    alphabet: Alphabet | None = None
 
     def __post_init__(self):
         tensors = tuple(np.asarray(t, dtype=float) for t in self.tensors)
         if self.n < 2 or len(tensors) != self.n:
             raise ValueError(f"expected {self.n} tensors, got {len(tensors)}")
         d = self.physical_dim
+        symbols = tuple(str(i) for i in range(d)) if self.alphabet is None else tuple(self.alphabet)
+        if len(symbols) != d or not all(isinstance(t, str) for t in symbols):
+            raise ValueError(f"alphabet must be {d} strings, got {symbols!r}")
+        object.__setattr__(self, "alphabet", Alphabet(symbols))
         if tensors[0].shape != (1, d, d) or not np.allclose(
             tensors[0][0], np.eye(d), atol=1e-12
         ):
@@ -97,27 +112,59 @@ class MatrixProductState:
         return (1,) + tuple(t.shape[2] for t in self.tensors)
 
 
-def _sample_arrays(ds: SequenceDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct samples as an index matrix plus their amplitude weights."""
-    distinct, counts = np.unique(ds.codes, axis=0, return_counts=True)
-    weights = np.sqrt(counts / ds.n_samples)
-    return distinct, weights
+def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
+    """Rank of every suffix among the distinct suffixes: ranks[k, i] ranks codes[i, k:].
+
+    One right-to-left pass: the suffix at column k is the pair (codes[:, k],
+    suffix at k + 1), so ranking the keys codes[:, k] * size + g, where g
+    holds the ranks at k + 1 and size their count, orders the suffixes
+    lexicographically, exactly as a row-wise np.unique of codes[:, k:] does.
+    The keys stay below n_samples * d. Row 0 ranks the whole samples.
+    """
+    ranks = np.empty(codes.shape[::-1], dtype=np.intp)
+    g, size = np.zeros(len(codes), dtype=np.intp), 1
+    for k in range(codes.shape[1] - 1, -1, -1):
+        keys, inverse = np.unique(codes[:, k] * size + g, return_inverse=True)
+        # numpy 2.0.x returns the inverse with the input's shape; flatten it
+        g, size = inverse.reshape(-1), len(keys)
+        ranks[k] = g
+    return ranks
+
+
+def _sample_arrays(ds: SequenceDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One ds.codes row per distinct sample, in lexicographic order, their
+    amplitude weights, and every sample's suffix ranks."""
+    ranks = _suffix_ranks(ds.codes)
+    counts = np.bincount(ranks[0])
+    rows = np.empty(len(counts), dtype=np.intp)
+    rows[ranks[0]] = np.arange(ds.n_samples)  # any occurrence will do: equal ranks, equal rows
+    return rows, np.sqrt(counts / ds.n_samples), ranks
+
+
+def _group_sums(
+    mapped: np.ndarray, bits: np.ndarray, groups: np.ndarray, weights: np.ndarray, d: int
+) -> np.ndarray:
+    """Weighted (bond x physical) vectors summed per group, one row per group.
+
+    Column bond * d + bit of row g sums weights * mapped[:, bond] over the
+    samples of group g whose physical symbol is bit.
+    """
+    b = mapped.shape[1]
+    size = (int(groups.max()) + 1) * b * d
+    bins = (groups[:, None] * b + np.arange(b)) * d + bits[:, None]
+    sums = np.bincount(bins.reshape(-1), (weights[:, None] * mapped).reshape(-1), minlength=size)
+    return sums.reshape(-1, b * d)
 
 
 def _step_density_matrix(
-    mapped: np.ndarray, bits: np.ndarray, suffixes: np.ndarray, weights: np.ndarray, d: int
+    mapped: np.ndarray, bits: np.ndarray, groups: np.ndarray, weights: np.ndarray, d: int
 ) -> np.ndarray:
     """Unit-trace reduced density on (bond x physical) at the current cut.
 
     Samples sharing a suffix interfere, so their weighted (bond x physical)
     vectors are summed per suffix group before the outer products.
     """
-    b = mapped.shape[1]
-    _, inverse = np.unique(suffixes, axis=0, return_inverse=True)
-    groups = int(inverse.max()) + 1
-    acc = np.zeros((groups, b, d))
-    np.add.at(acc, (inverse, slice(None), bits), weights[:, None] * mapped)
-    rows = acc.reshape(groups, b * d)
+    rows = _group_sums(mapped, bits, groups, weights, d)
     rho = rows.T @ rows
     return rho / np.trace(rho)
 
@@ -131,25 +178,20 @@ def _sweep(ds: SequenceDataset, cfg: TrainConfig):
         raise ValueError("training dataset is empty")
     if cfg.chi > d * d:
         raise ValueError(f"chi={cfg.chi} exceeds the first step's rank bound {d * d}")
-    samples, weights = _sample_arrays(ds)
-    mapped = np.eye(d)[samples[:, 0]]  # site 1 is the identity tensor
+    rows, weights, ranks = _sample_arrays(ds)
+    mapped = np.eye(d)[ds.codes[rows, 0]]  # site 1 is the identity tensor
     for k in range(2, n):
-        bits = samples[:, k - 1]
-        rho = _step_density_matrix(mapped, bits, samples[:, k:], weights, d)
+        bits = ds.codes[rows, k - 1]
+        rho = _step_density_matrix(mapped, bits, ranks[k, rows], weights, d)
         eig = linalg.sym_eigen(rho)
         iso = eig.eigenvectors[:, : cfg.chi]
         yield k, rho, iso
-        iso3 = iso.reshape(mapped.shape[1], d, cfg.chi)
-        new_mapped = np.empty((mapped.shape[0], cfg.chi))
-        for t in range(d):
-            rows = bits == t
-            new_mapped[rows] = mapped[rows] @ iso3[:, t, :]
-        mapped = new_mapped
-    final = np.zeros((mapped.shape[1], d))
-    for t in range(d):
-        rows = samples[:, n - 1] == t
-        final[:, t] = (weights[rows, None] * mapped[rows]).sum(axis=0)
-    yield n, None, final
+        # map every sample through every symbol's slice, then keep its own symbol's
+        branches = (mapped @ iso.reshape(-1, d * cfg.chi)).reshape(-1, d, cfg.chi)
+        mapped = branches[np.arange(len(bits)), bits]
+    one_group = np.zeros(len(rows), dtype=np.intp)
+    final = _group_sums(mapped, ds.codes[rows, n - 1], one_group, weights, d)
+    yield n, None, final.reshape(-1, d)
 
 
 def train(ds: SequenceDataset, cfg: TrainConfig) -> MatrixProductState:
@@ -172,7 +214,7 @@ def train(ds: SequenceDataset, cfg: TrainConfig) -> MatrixProductState:
             if norm < cfg.tolerance:
                 raise ValueError("sweep collapsed the state to zero norm")
             tensors.append((payload / norm).reshape(bond, d, 1))
-    return MatrixProductState(ds.length, d, tuple(tensors))
+    return MatrixProductState(ds.length, d, tuple(tensors), ds.alphabet)
 
 
 def step_density(ds: SequenceDataset, cfg: TrainConfig, site: int) -> np.ndarray:
@@ -190,20 +232,23 @@ def step_density(ds: SequenceDataset, cfg: TrainConfig, site: int) -> np.ndarray
 
 
 def _indices(m: MatrixProductState, s) -> list[int]:
-    tokens = tuple(s)
+    tokens = line_tokens(s.strip()) if isinstance(s, str) else tuple(s)
     if len(tokens) != m.n:
         raise ValueError(f"sequence length {len(tokens)} does not match model n={m.n}")
-    idx = []
-    for t in tokens:
-        i = int(t)
-        if not 0 <= i < m.physical_dim:
-            raise ValueError(f"token {t!r} outside the physical range")
-        idx.append(i)
-    return idx
+    lookup = {t: i for i, t in enumerate(m.alphabet)}
+    try:
+        return [lookup[str(t)] for t in tokens]
+    except KeyError as exc:
+        raise ValueError(f"token {exc.args[0]!r} is not in the model's alphabet") from None
 
 
 def born_probability(m: MatrixProductState, s) -> float:
-    """Squared amplitude of one sequence via left-to-right contraction."""
+    """Squared amplitude of one sequence via left-to-right contraction.
+
+    s is a sequence of alphabet tokens (compared as strings, so the bits of
+    a bit model may be ints), or a string read the way a dataset line is:
+    tokens separated by spaces, or one token per character.
+    """
     vec = np.ones(1)
     for tensor, i in zip(m.tensors, _indices(m, s)):
         vec = vec @ tensor[:, i, :]
@@ -264,10 +309,19 @@ def bhattacharyya(p, q) -> float:
         total = float(arr.sum())
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"{name} sums to {total!r}, expected 1")
-    overlap = float(np.sqrt(np.clip(pa, 0, None) * np.clip(qa, 0, None)).sum())
-    if overlap <= 0.0:
+    return overlap_distance(float(np.sqrt(np.clip(pa, 0, None) * np.clip(qa, 0, None)).sum()))
+
+
+def overlap_distance(overlap: float) -> float:
+    """-ln of an overlap capped at 1; infinity when the overlap is not positive.
+
+    Between two vectors of square-root probabilities this is their
+    Bhattacharyya distance; between two models, only when their amplitudes
+    are nonnegative wherever both are nonzero.
+    """
+    if overlap <= 0:
         return math.inf
-    return -math.log(min(overlap, 1.0))
+    return float(-np.log(min(overlap, 1.0)))
 
 
 def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
@@ -275,7 +329,9 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
 
     Conditional probabilities come from right environments, so each symbol
     is drawn from its true conditional given the prefix so far. All chains
-    advance together, one site per round.
+    advance together, one site per round. Each draw is a line of alphabet
+    tokens, joined without separator when every token is one character and
+    by single spaces otherwise, so parse_dataset reads the lines back.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -287,9 +343,8 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
         envs.append(np.einsum("lpr,mps,rs->lm", t, t, envs[-1], optimize=True))
     envs.reverse()  # envs[k] covers sites k..n-1 (0-based)
     rng = np.random.default_rng(seed)
-    tokens = tuple(str(i) for i in range(d))
     vecs = np.ones((count, 1))
-    choices = np.empty((count, m.n), dtype=np.int64)
+    choices = np.empty((count, m.n), dtype=np.min_scalar_type(d - 1))  # one byte each for d <= 256
     for k, t in enumerate(m.tensors):
         env = envs[k + 1]
         branch = np.stack([vecs @ t[:, p, :] for p in range(d)], axis=1)  # (count, d, r)
@@ -304,7 +359,9 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
         norms = np.linalg.norm(vecs, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
         vecs /= norms
-    return ["".join(tokens[i] for i in row) for row in choices]
+    tokens = m.alphabet.symbols
+    sep = "" if all(len(t) == 1 for t in tokens) else " "
+    return [sep.join(tokens[i] for i in row) for row in choices]
 
 
 def draw_even_subset(n: int, count: int, seed: int) -> SequenceDataset:
@@ -337,9 +394,8 @@ def _experiment_cell(args: tuple[int, float, int, int, int, float]) -> Experimen
         raise ValueError(f"fraction {fraction} draws no samples at n={n}")
     ds = draw_even_subset(n, count, seed)
     model = train(ds, TrainConfig(chi=chi, tolerance=tolerance))
-    overlap = inner_product(model, parity_target(n))
-    dist = math.inf if overlap <= 0 else -math.log(min(overlap, 1.0))
-    return ExperimentRow(fraction, replica, seed, count, dist)
+    distance = overlap_distance(inner_product(model, parity_target(n)))
+    return ExperimentRow(fraction, replica, seed, count, distance)
 
 
 def _max_workers() -> int:
@@ -362,9 +418,13 @@ def run_experiment(
 ) -> list[ExperimentRow]:
     """Train on seeded subset draws per (fraction, replica) and score each model.
 
-    Replica r uses seed base_seed + r for every fraction. Cells may run in
-    parallel (capped by the QDENSITY_THREADS variable and the core count);
-    output order and values are identical to a serial run.
+    The score, ExperimentRow.bhattacharyya, is overlap_distance of the
+    model's overlap with the parity target, -ln<psi|target>: the
+    Bhattacharyya distance only when the model's amplitudes on the even
+    strings are nonnegative. Replica r uses seed base_seed + r for every
+    fraction. Cells may run in parallel (capped by the QDENSITY_THREADS
+    variable and the core count); output order and values are identical to
+    a serial run.
     """
     if n > 24:
         raise ValueError("experiment limited to n <= 24")
@@ -389,6 +449,7 @@ def save_model(m: MatrixProductState, path) -> None:
     payload = {
         "n": m.n,
         "physical_dim": m.physical_dim,
+        "alphabet": list(m.alphabet),
         "bond_dims": list(m.bond_dims),
         "tensors": [t.tolist() for t in m.tensors],
     }
@@ -401,7 +462,8 @@ def load_model(path) -> MatrixProductState:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     tensors = tuple(np.asarray(t, dtype=float) for t in payload["tensors"])
-    model = MatrixProductState(int(payload["n"]), int(payload["physical_dim"]), tensors)
+    n, d = int(payload["n"]), int(payload["physical_dim"])
+    model = MatrixProductState(n, d, tensors, payload.get("alphabet"))  # absent: the default
     if list(model.bond_dims) != list(payload["bond_dims"]):
         raise ValueError("bond_dims field does not match the stored tensors")
     return model

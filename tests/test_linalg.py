@@ -145,10 +145,6 @@ class TestReshape:
         with pytest.raises(ValueError):
             linalg.reshape_vector_to_matrix(np.zeros(5), 2, 3)
 
-    def test_unknown_layout(self):
-        with pytest.raises(ValueError):
-            linalg.reshape_vector_to_matrix(np.zeros(6), 2, 3, layout="prefix-major")
-
 
 @settings(max_examples=60, deadline=None)
 @given(

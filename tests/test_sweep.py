@@ -1,0 +1,179 @@
+"""The sweep beyond bits: larger alphabets, repeated samples, every chi, and saved alphabets."""
+
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from qdensity import mps
+from qdensity.cli import main
+from qdensity.empirical import SequenceDataset, parse_dataset
+from qdensity.mps import TrainConfig
+from qdensity.qprob import Alphabet
+from conftest import dense_sweep_distribution
+
+
+def repeated_dataset(rng, d: int, n: int) -> SequenceDataset:
+    """Samples drawn with replacement from a small pool under non-uniform weights."""
+    pool = rng.integers(d, size=(int(rng.integers(2, 12)), n))
+    weights = rng.random(len(pool)) ** 2 + 0.05
+    picks = rng.choice(len(pool), size=int(rng.integers(len(pool), 4 * len(pool))), p=weights / weights.sum())
+    symbols = tuple(chr(ord("a") + i) for i in range(d))
+    return SequenceDataset.from_codes(Alphabet(symbols), pool[picks])
+
+
+def dense_amplitudes(ds: SequenceDataset) -> np.ndarray:
+    """Square-root empirical frequencies as a full d**n vector, lexicographic."""
+    d, n = len(ds.alphabet), ds.length
+    positions = ds.codes @ d ** np.arange(n - 1, -1, -1)
+    return np.sqrt(np.bincount(positions, minlength=d**n) / ds.n_samples)
+
+
+def sweep_cases(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.integers(2, 5))
+        n = int(rng.integers(4, 8))
+        chi = int(rng.integers(1, min(3, d * d) + 1))
+        yield repeated_dataset(rng, d, n), chi
+
+
+@pytest.mark.parametrize("ds, chi", list(sweep_cases(30, seed=2024)))
+def test_step_densities_and_born_table_match_dense_sweep(ds, chi):
+    # every cut's density equals the dense reduced density of the state mapped
+    # through the sweep's own isometries, and the whole model equals the
+    # dense sweep's
+    d, n = len(ds.alphabet), ds.length
+    cfg = TrainConfig(chi=chi)
+    model = mps.train(ds, cfg)
+    vec, bond = dense_amplitudes(ds), d
+    for k in range(2, n):
+        mat = vec.reshape(bond * d, -1)
+        rho_dense = mat @ mat.T
+        rho_dense /= np.trace(rho_dense)
+        assert np.max(np.abs(mps.step_density(ds, cfg, k) - rho_dense)) < 1e-12
+        iso = model.tensors[k - 1].reshape(bond * d, -1)
+        vec, bond = (iso.T @ mat).reshape(-1), iso.shape[1]
+    table = mps.distribution_table(model)
+    assert np.max(np.abs(table - dense_sweep_distribution(ds, chi))) < 1e-10
+
+
+def test_suffix_ranks_match_row_unique():
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 9))
+        pool = rng.integers(d, size=(int(rng.integers(1, 40)), n))
+        codes = pool[rng.integers(len(pool), size=int(rng.integers(1, 120)))]
+        ranks = mps._suffix_ranks(codes)
+        assert ranks.shape == (n, len(codes))
+        for k in range(n):
+            _, inverse = np.unique(codes[:, k:], axis=0, return_inverse=True)
+            assert np.array_equal(ranks[k], inverse.reshape(-1))
+
+
+def test_sample_arrays_are_the_distinct_rows():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        ds = repeated_dataset(rng, int(rng.integers(2, 5)), int(rng.integers(3, 8)))
+        rows, weights, ranks = mps._sample_arrays(ds)
+        distinct, counts = np.unique(ds.codes, axis=0, return_counts=True)
+        assert np.array_equal(ds.codes[rows], distinct)
+        assert np.array_equal(weights, np.sqrt(counts / ds.n_samples))
+        assert np.array_equal(ranks, mps._suffix_ranks(ds.codes))
+
+
+class TestAlphabet:
+    def test_abc_round_trip_through_the_cli(self, tmp_path):
+        rng = np.random.default_rng(9)
+        lines = ["".join("abc"[i] for i in row) for row in rng.integers(3, size=(40, 5))]
+        data, model_path = tmp_path / "abc.txt", tmp_path / "model.json"
+        data.write_text("\n".join(lines) + "\n")
+        runner = CliRunner()
+        args = ["parity", "train", "--data", str(data), "--chi", "3", "--model", str(model_path)]
+        assert runner.invoke(main, args, catch_exceptions=False).exit_code == 0
+        model = mps.load_model(model_path)
+        symbols = "".join(model.alphabet)
+        assert symbols == "".join(dict.fromkeys("".join(lines)))  # first-appearance order
+        args = ["parity", "sample", "--model", str(model_path), "--count", "200", "--seed", "3"]
+        drawn = runner.invoke(main, args, catch_exceptions=False).output.splitlines()
+        assert len(drawn) == 200
+        assert all(len(s) == 5 and set(s) <= set("abc") for s in drawn)
+        table = mps.distribution_table(model)
+        for s in drawn:
+            index = int("".join(str(symbols.index(t)) for t in s), 3)
+            assert mps.born_probability(model, s) == pytest.approx(table[index], abs=1e-12)
+        assert parse_dataset(drawn, model.alphabet).samples == tuple(map(tuple, drawn))
+
+    def test_multi_character_tokens_are_space_joined(self):
+        words = Alphabet(("red", "green"))
+        rows = [("red", "green", "green"), ("green", "red", "red"), ("red", "red", "green")]
+        model = mps.train(SequenceDataset(words, 3, rows), TrainConfig(chi=2))
+        drawn = mps.sample(model, 30, seed=4)
+        assert parse_dataset(drawn, words).samples == tuple(tuple(s.split(" ")) for s in drawn)
+        for s in drawn:
+            assert mps.born_probability(model, s) == mps.born_probability(model, s.split(" "))
+            assert mps.born_probability(model, s) > 0
+        with pytest.raises(ValueError):
+            mps.born_probability(model, "red blue red")
+
+    def test_legacy_file_without_alphabet_loads_as_bits(self, tmp_path):
+        path = tmp_path / "model.json"
+        mps.save_model(mps.parity_target(5), path)
+        payload = json.loads(path.read_text())
+        del payload["alphabet"]
+        path.write_text(json.dumps(payload))
+        model = mps.load_model(path)
+        assert model.alphabet.symbols == ("0", "1")
+        assert mps.born_probability(model, "01100") == pytest.approx(1 / 16, abs=1e-15)
+        assert mps.born_probability(model, [0, 1, 1, 0, 0]) == mps.born_probability(model, "0 1 1 0 0")
+
+    def test_default_alphabet_is_the_index_strings(self):
+        trained = mps.train(SequenceDataset(Alphabet(("x", "y", "z")), 3, [("x", "y", "z")]), TrainConfig(chi=1))
+        model = mps.MatrixProductState(3, 3, trained.tensors)
+        assert model.alphabet.symbols == ("0", "1", "2")
+        assert mps.sample(model, 2, seed=0) == ["012", "012"]
+
+    def test_alphabet_must_name_every_state_with_a_string(self, tmp_path):
+        tensors = mps.parity_target(2).tensors
+        with pytest.raises(ValueError):
+            mps.MatrixProductState(2, 2, tensors, Alphabet(("a", "b", "c")))
+        path = tmp_path / "model.json"
+        mps.save_model(mps.parity_target(3), path)
+        payload = json.loads(path.read_text())
+        payload["alphabet"] = [0, 1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            mps.load_model(path)
+
+
+def test_overlap_distance():
+    assert mps.overlap_distance(0.0) == math.inf
+    assert mps.overlap_distance(-0.25) == math.inf
+    assert mps.overlap_distance(1.5) == 0.0
+    assert mps.overlap_distance(0.5) == pytest.approx(math.log(2), abs=1e-15)
+    p = np.array([0.5, 0.25, 0.25, 0.0])
+    q = np.array([0.25, 0.25, 0.25, 0.25])
+    assert mps.bhattacharyya(p, q) == mps.overlap_distance(float(np.sqrt(p * q).sum()))
+
+
+def test_eval_reports_the_overlap_distance(tmp_path):
+    path = tmp_path / "model.json"
+    model = mps.train(mps.draw_even_subset(8, 20, seed=5), TrainConfig(chi=2))
+    mps.save_model(model, path)
+    out = CliRunner().invoke(main, ["parity", "eval", "--model", str(path)], catch_exceptions=False)
+    payload = json.loads(out.output)
+    overlap = mps.inner_product(model, mps.parity_target(8))
+    assert payload["inner_product"] == overlap
+    assert payload["bhattacharyya"] == mps.overlap_distance(overlap)
+
+
+def test_complete_ternary_set_is_exact():
+    # a complete ternary dataset of distinct strings is reproduced exactly at chi = d**2
+    symbols = Alphabet(("a", "b", "c"))
+    rows = list(itertools.product(symbols.symbols, repeat=4))
+    model = mps.train(SequenceDataset(symbols, 4, rows), TrainConfig(chi=9))
+    assert np.max(np.abs(mps.distribution_table(model) - 1 / 81)) < 1e-12
