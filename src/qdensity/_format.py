@@ -9,6 +9,7 @@ json.loads can parse everything back.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,10 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(float(x), ".17g")
+
+
+def _string(s: str) -> str:
+    return json.dumps(s, ensure_ascii=False)
 
 
 def _encode(obj, parts: list[str], indent: int) -> None:
@@ -45,7 +50,7 @@ def _encode(obj, parts: list[str], indent: int) -> None:
     elif isinstance(obj, float):
         parts.append(format_float(obj))
     elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        parts.append(_string(obj))
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -54,7 +59,7 @@ def _encode(obj, parts: list[str], indent: int) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(pad + '  "' + key.replace("\\", "\\\\").replace('"', '\\"') + '": ')
+            parts.append(pad + "  " + _string(key) + ": ")
             _encode(value, parts, indent + 1)
             parts.append(",\n" if i < len(obj) - 1 else "\n")
         parts.append(pad + "}")
@@ -83,9 +88,7 @@ def csv_row(values) -> str:
     """One CSV line; floats via format_float, everything else via str."""
     cells = []
     for v in values:
-        if isinstance(v, bool):
-            cells.append(str(v))
-        elif isinstance(v, float):
+        if isinstance(v, float):
             cells.append(format_float(v))
         else:
             cells.append(str(v))

@@ -329,9 +329,12 @@ def parity_eval(model_path, out):
     """
     try:
         model = mps.load_model(model_path)
-        overlap = mps.inner_product(model, mps.parity_target(model.n))
     except (ValueError, KeyError) as exc:
         raise _fail(f"bad model file: {exc}")
+    try:
+        overlap = mps.inner_product(model, mps.parity_target(model.n))
+    except ValueError as exc:
+        raise _fail(f"cannot score against the bit parity target: {exc}")
     result = {
         "n": model.n,
         "inner_product": float(overlap),

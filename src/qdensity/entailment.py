@@ -13,6 +13,7 @@ slots, and the suffix (last position) is always the retained subsystem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -168,18 +169,20 @@ def decompose(
 def loewner_geq(
     a: EntailmentDensity, b: EntailmentDensity, scale: float = 1.0, tol: float = PSD_TOL
 ) -> bool:
-    """True iff a.matrix - scale * b.matrix is positive semidefinite."""
-    if a.suffix_alphabet != b.suffix_alphabet:
-        raise ValueError("entailment densities live on different suffix bases")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    return linalg.is_psd(a.matrix - scale * b.matrix, tol)
+    """True iff a.matrix - scale * b.matrix is positive semidefinite within tol."""
+    return difference_min_eigenvalue(a, b, scale) >= -tol
 
 
 def difference_min_eigenvalue(
     a: EntailmentDensity, b: EntailmentDensity, scale: float = 1.0
 ) -> float:
-    """Smallest eigenvalue of a.matrix - scale * b.matrix, for reporting."""
+    """Smallest eigenvalue of a.matrix - scale * b.matrix.
+
+    Both densities must live on the same suffix basis, and scale must be
+    finite and nonnegative.
+    """
     if a.suffix_alphabet != b.suffix_alphabet:
         raise ValueError("entailment densities live on different suffix bases")
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
     return float(np.linalg.eigvalsh(a.matrix - scale * b.matrix)[0])

@@ -12,6 +12,7 @@ union of complete bipartite clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -85,78 +86,44 @@ class FormalConcept:
     intent: frozenset[str]
 
 
-def _subset_indices(alphabet: Alphabet, subset: Iterable[str]) -> list[int]:
-    return [alphabet.index(s) for s in subset]
+def _symbols(alphabet: Alphabet, mask: np.ndarray) -> frozenset[str]:
+    return frozenset(compress(alphabet.symbols, mask))
 
 
 def galois_f(r: Relation, a: Iterable[str]) -> frozenset[str]:
     """Attributes shared by every object in a; all attributes for the empty set."""
-    rows = _subset_indices(r.x_alphabet, a)
-    mask = np.ones(len(r.y_alphabet), dtype=bool)
-    for i in rows:
-        mask &= r.incidence[i]
-    return frozenset(np.array(r.y_alphabet.symbols)[mask])
+    rows = [r.x_alphabet.index(s) for s in a]
+    return _symbols(r.y_alphabet, r.incidence[rows].all(axis=0))
 
 
 def galois_g(r: Relation, b: Iterable[str]) -> frozenset[str]:
     """Objects related to every attribute in b; all objects for the empty set."""
-    cols = _subset_indices(r.y_alphabet, b)
-    mask = np.ones(len(r.x_alphabet), dtype=bool)
-    for j in cols:
-        mask &= r.incidence[:, j]
-    return frozenset(np.array(r.x_alphabet.symbols)[mask])
+    cols = [r.y_alphabet.index(s) for s in b]
+    return _symbols(r.x_alphabet, r.incidence[:, cols].all(axis=1))
 
 
-def _mask_to_symbols(mask: int, alphabet: Alphabet) -> frozenset[str]:
-    return frozenset(s for i, s in enumerate(alphabet) if mask >> i & 1)
+def _close_by_one(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every (row mask, column mask) concept of a boolean table, each once.
 
-
-def _enumerate_concepts(r: Relation) -> list[tuple[frozenset[str], frozenset[str]]]:
-    """All Galois-closed pairs, via closures over the smaller side."""
-    n, m = len(r.x_alphabet), len(r.y_alphabet)
-    if min(n, m) > MAX_ENUM_SIDE:
-        raise ValueError(
-            f"relation sides {n}x{m} exceed the enumeration limit {MAX_ENUM_SIDE}"
-        )
-    table = r.incidence if m <= n else r.incidence.T
-    rows, cols = table.shape
-    full_row_mask = (1 << rows) - 1
-    # col_masks[j]: bitmask over rows related to column j.
-    col_masks = [int(sum(1 << i for i in range(rows) if table[i, j])) for j in range(cols)]
-    row_masks = [int(sum(1 << j for j in range(cols) if table[i, j])) for i in range(rows)]
-
-    def close_rows(row_mask: int) -> int:
-        out = (1 << cols) - 1
-        i = 0
-        mm = row_mask
-        while mm:
-            if mm & 1:
-                out &= row_masks[i]
-            mm >>= 1
-            i += 1
-        return out
-
-    seen: set[tuple[int, int]] = set()
-    for sub in range(1 << cols):
-        amask = full_row_mask
-        j, mm = 0, sub
-        while mm:
-            if mm & 1:
-                amask &= col_masks[j]
-            mm >>= 1
-            j += 1
-        bmask = close_rows(amask)
-        seen.add((amask, bmask))
+    Close-by-One (Kuznetsov 1993): from a concept, adding a column j at or
+    after the branch's start closes to another concept, and the branch is
+    kept only when that closure adds no column before j. Each concept then
+    has exactly one parent, so the walk costs one closure per column per
+    concept and recurses at most as deep as the table has columns.
+    """
     concepts = []
-    for amask, bmask in seen:
-        if m <= n:
-            concepts.append(
-                (_mask_to_symbols(amask, r.x_alphabet), _mask_to_symbols(bmask, r.y_alphabet))
-            )
-        else:
-            concepts.append(
-                (_mask_to_symbols(bmask, r.x_alphabet), _mask_to_symbols(amask, r.y_alphabet))
-            )
+
+    def walk(extent: np.ndarray, intent: np.ndarray, start: int) -> None:
+        concepts.append((extent, intent))
+        for j in range(start, table.shape[1]):
+            if intent[j]:
+                continue
+            child = extent & table[:, j]
+            closed = table[child].all(axis=0)
+            if not (closed[:j] & ~intent[:j]).any():
+                walk(child, closed, j + 1)
+
+    walk(np.ones(table.shape[0], dtype=bool), table.all(axis=0), 0)
     return concepts
 
 
@@ -167,12 +134,24 @@ def _concept_sort_key(r: Relation, c: FormalConcept):
 def formal_concepts(r: Relation, include_degenerate: bool = False) -> list[FormalConcept]:
     """All formal concepts, sorted by extent size then lexicographically.
 
-    The two degenerate closures with an empty extent or intent are dropped
-    unless include_degenerate is set; for the edgeless relation they are
-    the only concepts and are always returned.
+    The concepts are walked by Close-by-One over the smaller side, which
+    may have at most MAX_ENUM_SIDE symbols. The two degenerate closures
+    with an empty extent or intent are dropped unless include_degenerate
+    is set; for the edgeless relation they are the only concepts and are
+    always returned.
     """
-    pairs = _enumerate_concepts(r)
-    concepts = [FormalConcept(a, b) for a, b in pairs]
+    n, m = len(r.x_alphabet), len(r.y_alphabet)
+    if min(n, m) > MAX_ENUM_SIDE:
+        raise ValueError(
+            f"relation sides {n}x{m} exceed the enumeration limit {MAX_ENUM_SIDE}"
+        )
+    if m <= n:
+        pairs = _close_by_one(r.incidence)
+    else:
+        pairs = [(x, y) for y, x in _close_by_one(r.incidence.T)]
+    concepts = [
+        FormalConcept(_symbols(r.x_alphabet, x), _symbols(r.y_alphabet, y)) for x, y in pairs
+    ]
     if not include_degenerate:
         proper = [c for c in concepts if c.extent and c.intent]
         if proper:

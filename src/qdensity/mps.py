@@ -67,7 +67,7 @@ class TrainConfig:
             raise ValueError("chi must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixProductState:
     """Chain of order-3 tensors with matching bond dimensions.
 
@@ -287,6 +287,10 @@ def inner_product(a: MatrixProductState, b: MatrixProductState) -> float:
     """Exact overlap of two models via the transfer contraction."""
     if a.n != b.n or a.physical_dim != b.physical_dim:
         raise ValueError("models must share length and physical dimension")
+    if a.alphabet != b.alphabet:
+        raise ValueError(
+            f"models must share an alphabet, got {a.alphabet.symbols!r} and {b.alphabet.symbols!r}"
+        )
     env = np.ones((1, 1))
     for ta, tb in zip(a.tensors, b.tensors):
         env = np.einsum("lm,lpr,mps->rs", env, ta, tb, optimize=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdensity.empirical import SequenceDataset
+from qdensity.fca import FormalConcept, Relation, galois_f, galois_g
 from qdensity.qprob import Alphabet, JointDistribution
 
 BITS = Alphabet(("0", "1"))
@@ -111,6 +112,27 @@ def dense_sweep_distribution(ds: SequenceDataset, chi: int) -> np.ndarray:
         cur = iso @ cur.reshape(iso.shape[1], -1)
         cur = cur.reshape(rows // d, d * cur.shape[1])
     return cur.reshape(-1) ** 2
+
+
+def brute_force_concepts(r: Relation, include_degenerate: bool = False) -> list[FormalConcept]:
+    """Oracle: close every object subset with the Galois maps.
+
+    Applies formal_concepts' documented rules independently: degenerate
+    closures only when asked for or when nothing else exists, sorted by
+    extent size and then by the extent's object indices.
+    """
+    closed = set()
+    for size in range(len(r.x_alphabet) + 1):
+        for subset in itertools.combinations(r.x_alphabet, size):
+            intent = galois_f(r, subset)
+            closed.add(FormalConcept(galois_g(r, intent), intent))
+    concepts = list(closed)
+    proper = [c for c in concepts if c.extent and c.intent]
+    if proper and not include_degenerate:
+        concepts = proper
+    return sorted(
+        concepts, key=lambda c: (len(c.extent), sorted(r.x_alphabet.index(s) for s in c.extent))
+    )
 
 
 @pytest.fixture

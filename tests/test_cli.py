@@ -44,6 +44,13 @@ class TestReduce:
         assert np.allclose(payload["rho_x"], np.array([[1, 1, 1], [1, 2, 2], [1, 2, 2]]) / 5)
         assert np.allclose(payload["rho_y"], np.array([[3, 2], [2, 2]]) / 5)
 
+    def test_control_characters_escaped(self, runner, tmp_path):
+        path = tmp_path / "tab.txt"
+        path.write_text("a\tb c d\nx y d\n")
+        payload = json.loads(invoke(runner, ["reduce", str(path), "--cut", "1"]).output)
+        assert payload["x_alphabet"] == ["a\tb", "x"]
+        assert payload["y_alphabet"] == ["c d", "y d"]
+
     def test_unnormalized_csv_rejected(self, runner, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y,p\na,u,0.5\nb,v,0.4\n")
@@ -253,3 +260,12 @@ class TestParity:
         bad.write_text('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": []}')
         result = runner.invoke(main, ["parity", "eval", "--model", str(bad)])
         assert result.exit_code != 0
+
+    def test_eval_rejects_non_bit_model(self, runner, tmp_path):
+        path = tmp_path / "ab.txt"
+        path.write_text("a b a b\nb b a a\n")
+        model = tmp_path / "m.json"
+        assert invoke(runner, ["parity", "train", "--data", str(path), "--model", str(model)]).exit_code == 0
+        result = runner.invoke(main, ["parity", "eval", "--model", str(model)])
+        assert result.exit_code != 0
+        assert "alphabet" in result.output

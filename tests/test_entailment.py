@@ -108,6 +108,13 @@ class TestLoewnerOrder:
         assert loewner_geq(orange, orange)
         assert difference_min_eigenvalue(orange, orange) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("scale", [-0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("compare", [loewner_geq, difference_min_eigenvalue])
+    def test_bad_scale_rejected(self, corpus, compare, scale):
+        orange = pattern_density(corpus, {3: "orange"})
+        with pytest.raises(ValueError, match="scale"):
+            compare(orange, orange, scale)
+
     def test_basis_mismatch(self, corpus):
         other = CorpusState.from_dataset(parse_dataset(["a b c", "a b d"]))
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from qdensity import fca
 from qdensity.qprob import Alphabet
 
+from conftest import brute_force_concepts
+
 THREE_EDGE = [("orange", "fruit"), ("green", "fruit"), ("purple", "vegetable")]
 FOUR_EDGE = THREE_EDGE[:2] + [("green", "vegetable"), ("purple", "vegetable")]
 
@@ -22,6 +24,15 @@ def four_edge():
 
 def as_sets(concepts):
     return {(frozenset(c.extent), frozenset(c.intent)) for c in concepts}
+
+
+def relation(table):
+    rows, cols = table.shape
+    return fca.Relation(
+        Alphabet(tuple(f"x{i}" for i in range(rows))),
+        Alphabet(tuple(f"y{j}" for j in range(cols))),
+        table,
+    )
 
 
 class TestGaloisMaps:
@@ -135,6 +146,53 @@ class TestFormalConcepts:
         )
         with pytest.raises(ValueError):
             fca.formal_concepts(r)
+
+
+class TestCloseByOneAgainstOracle:
+    @pytest.mark.parametrize("include_degenerate", [False, True])
+    @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+    @pytest.mark.parametrize("density", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+    def test_matches_brute_force(self, density, tall, include_degenerate):
+        # tall tables (more objects than attributes) walk the incidence,
+        # wide ones its transpose
+        rng = np.random.default_rng([int(density * 10), tall, include_degenerate])
+        for _ in range(5):
+            short = int(rng.integers(1, 9))
+            long = int(rng.integers(short + 1, 11))
+            shape = (long, short) if tall else (short, long)
+            r = relation(rng.random(shape) < density)
+            concepts = fca.formal_concepts(r, include_degenerate=include_degenerate)
+            assert concepts == brute_force_concepts(r, include_degenerate)
+            assert len(set(concepts)) == len(concepts)
+
+    @pytest.mark.parametrize("include_degenerate", [False, True])
+    def test_all_true(self, include_degenerate):
+        r = relation(np.ones((3, 5), dtype=bool))
+        concepts = fca.formal_concepts(r, include_degenerate=include_degenerate)
+        assert concepts == brute_force_concepts(r, include_degenerate)
+        assert as_sets(concepts) == {(frozenset(r.x_alphabet), frozenset(r.y_alphabet))}
+
+    @pytest.mark.parametrize("include_degenerate", [False, True])
+    def test_all_false(self, include_degenerate):
+        r = relation(np.zeros((5, 3), dtype=bool))
+        concepts = fca.formal_concepts(r, include_degenerate=include_degenerate)
+        assert concepts == brute_force_concepts(r, include_degenerate)
+        assert as_sets(concepts) == {
+            (frozenset(), frozenset(r.y_alphabet)),
+            (frozenset(r.x_alphabet), frozenset()),
+        }
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_single_row_or_column(self, transpose):
+        table = np.array([[True, False, True, True, False]])
+        r = relation(table.T if transpose else table)
+        for include_degenerate in (False, True):
+            concepts = fca.formal_concepts(r, include_degenerate=include_degenerate)
+            assert concepts == brute_force_concepts(r, include_degenerate)
+        ones = {"x0", "x2", "x3"} if transpose else {"y0", "y2", "y3"}
+        other = {"y0"} if transpose else {"x0"}
+        expected = (ones, other) if transpose else (other, ones)
+        assert as_sets(fca.formal_concepts(r)) == {tuple(map(frozenset, expected))}
 
 
 class TestCompareEigenConcepts:

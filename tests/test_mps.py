@@ -7,6 +7,7 @@ import pytest
 from qdensity import mps
 from qdensity.empirical import SequenceDataset
 from qdensity.mps import MatrixProductState, TrainConfig
+from qdensity.qprob import Alphabet
 from conftest import BITS, dense_sweep_distribution, even_dataset, even_indices
 
 CFG = TrainConfig(chi=2)
@@ -211,6 +212,17 @@ class TestInnerProduct:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mps.inner_product(mps.parity_target(4), mps.parity_target(5))
+
+    def test_alphabet_mismatch(self):
+        target = mps.parity_target(4)
+        letters = MatrixProductState(4, 2, target.tensors, Alphabet(("a", "b")))
+        with pytest.raises(ValueError, match="alphabet"):
+            mps.inner_product(letters, target)
+
+    def test_equality_is_identity(self):
+        a, b = mps.parity_target(4), mps.parity_target(4)
+        assert (a == b) is False
+        assert (a == a) is True
 
 
 class TestBhattacharyya:
