@@ -91,10 +91,6 @@ def _load_distribution_csv(path, order) -> JointDistribution:
     return JointDistribution(x_alpha, y_alpha, table)
 
 
-def _matrix(m: np.ndarray) -> list:
-    return [list(map(float, row)) for row in m]
-
-
 @click.group()
 def main():
     """Model joint distributions as pure states and work with the fallout."""
@@ -115,10 +111,14 @@ def cmd_reduce(input_path, cut, order, out):
     with open(input_path, encoding="utf-8") as fh:
         first = fh.readline().strip()
     if first == DIST_HEADER:
+        if cut is not None:
+            raise _fail("--cut applies to dataset input, not to a distribution CSV")
         pi = _load_distribution_csv(input_path, order)
     else:
         if cut is None:
             raise _fail("dataset input needs --cut")
+        if order is not None:
+            raise _fail("--order applies to a distribution CSV, not to dataset input")
         try:
             ds = load_dataset(input_path)
             pi = empirical_distribution(ds, cut)
@@ -132,19 +132,19 @@ def cmd_reduce(input_path, cut, order, out):
     result = {
         "x_alphabet": list(pi.x_alphabet),
         "y_alphabet": list(pi.y_alphabet),
-        "rho_x": _matrix(rho_x.matrix),
-        "rho_y": _matrix(rho_y.matrix),
+        "rho_x": rho_x.matrix,
+        "rho_y": rho_y.matrix,
         "eigenvalues": eigenvalues,
-        "eigenvectors_x": [list(map(float, sd.x_vectors[:, i])) for i in range(len(eigenvalues))],
-        "eigenvectors_y": [list(map(float, sd.y_vectors[:, i])) for i in range(len(eigenvalues))],
+        "eigenvectors_x": sd.x_vectors.T,
+        "eigenvectors_y": sd.y_vectors.T,
         "eigenvector_distributions_x": [
             [float(v) ** 2 for v in sd.x_vectors[:, i]] for i in range(len(eigenvalues))
         ],
         "eigenvector_distributions_y": [
             [float(v) ** 2 for v in sd.y_vectors[:, i]] for i in range(len(eigenvalues))
         ],
-        "marginal_x": list(map(float, qprob.marginalize(pi, "X"))),
-        "marginal_y": list(map(float, qprob.marginalize(pi, "Y"))),
+        "marginal_x": qprob.marginalize(pi, "X"),
+        "marginal_y": qprob.marginalize(pi, "Y"),
         "entropies": {
             "von_neumann_x": qprob.von_neumann_entropy(rho_x),
             "von_neumann_y": qprob.von_neumann_entropy(rho_y),
@@ -253,19 +253,18 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
     else:
         scale = 1.0
     min_eig = entailment.difference_min_eigenvalue(dens_pat, dens_ref, scale)
-    verdict = entailment.loewner_geq(dens_pat, dens_ref, scale)
     result = {
         "suffix_alphabet": list(cs.suffix_alphabet),
         "pattern": {str(k): v for k, v in sorted(pat.items())},
         "against": {str(k): v for k, v in sorted(ref.items())},
         "normalized": normalized,
-        "pattern_matrix": _matrix(dens_pat.matrix),
-        "against_matrix": _matrix(dens_ref.matrix),
+        "pattern_matrix": dens_pat.matrix,
+        "against_matrix": dens_ref.matrix,
         "pattern_weight": dens_pat.weight,
         "against_weight": dens_ref.weight,
         "scale": float(scale),
         "difference_min_eigenvalue": min_eig,
-        "entails": verdict,
+        "entails": min_eig >= -entailment.PSD_TOL,
     }
     _emit(dumps(result), out)
 

@@ -161,7 +161,12 @@ def decompose(
     total = cs.prefix_probs[idx].sum()
     out = []
     for i, prefix in zip(idx, _decode(cs.dataset.alphabet, cs.prefix_codes[idx])):
-        dens = pattern_density(cs, dict(enumerate(prefix, start=1)), normalized=True)
+        col = cs.columns[:, [i]]
+        mat = col @ col.T
+        weight = float(np.trace(mat))
+        dens = EntailmentDensity(
+            tuple(enumerate(prefix, 1)), cs.suffix_alphabet, mat / weight, weight, True
+        )
         out.append((prefix, float(cs.prefix_probs[i] / total), dens))
     return out
 

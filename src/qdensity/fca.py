@@ -127,8 +127,24 @@ def _close_by_one(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return concepts
 
 
-def _concept_sort_key(r: Relation, c: FormalConcept):
-    return (len(c.extent), sorted(r.x_alphabet.index(s) for s in c.extent))
+def _concept_masks(r: Relation, include_degenerate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Extent and intent masks of formal_concepts' listing, one row per concept."""
+    n, m = len(r.x_alphabet), len(r.y_alphabet)
+    if min(n, m) > MAX_ENUM_SIDE:
+        raise ValueError(
+            f"relation sides {n}x{m} exceed the enumeration limit {MAX_ENUM_SIDE}"
+        )
+    if m <= n:
+        extents, intents = map(np.array, zip(*_close_by_one(r.incidence)))
+    else:
+        intents, extents = map(np.array, zip(*_close_by_one(r.incidence.T)))
+    proper = extents.any(axis=1) & intents.any(axis=1)
+    if not include_degenerate and proper.any():
+        extents, intents = extents[proper], intents[proper]
+    # Between equal-size extents, the sorted index lists compare like the
+    # masks read from the first object with True before False.
+    order = np.lexsort(np.vstack([~extents[:, ::-1].T, extents.sum(axis=1)]))
+    return extents[order], intents[order]
 
 
 def formal_concepts(r: Relation, include_degenerate: bool = False) -> list[FormalConcept]:
@@ -140,23 +156,10 @@ def formal_concepts(r: Relation, include_degenerate: bool = False) -> list[Forma
     is set; for the edgeless relation they are the only concepts and are
     always returned.
     """
-    n, m = len(r.x_alphabet), len(r.y_alphabet)
-    if min(n, m) > MAX_ENUM_SIDE:
-        raise ValueError(
-            f"relation sides {n}x{m} exceed the enumeration limit {MAX_ENUM_SIDE}"
-        )
-    if m <= n:
-        pairs = _close_by_one(r.incidence)
-    else:
-        pairs = [(x, y) for y, x in _close_by_one(r.incidence.T)]
-    concepts = [
-        FormalConcept(_symbols(r.x_alphabet, x), _symbols(r.y_alphabet, y)) for x, y in pairs
+    return [
+        FormalConcept(_symbols(r.x_alphabet, x), _symbols(r.y_alphabet, y))
+        for x, y in zip(*_concept_masks(r, include_degenerate))
     ]
-    if not include_degenerate:
-        proper = [c for c in concepts if c.extent and c.intent]
-        if proper:
-            concepts = proper
-    return sorted(concepts, key=lambda c: _concept_sort_key(r, c))
 
 
 @dataclass(frozen=True)
@@ -206,20 +209,6 @@ class EigenConceptReport:
         }
 
 
-def _characteristic(alphabet: Alphabet, subset: frozenset[str]) -> np.ndarray:
-    vec = np.zeros(len(alphabet))
-    for s in subset:
-        vec[alphabet.index(s)] = 1.0
-    return vec
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def uniform_distribution(r: Relation) -> JointDistribution:
     """Uniform probability on the relation's edges."""
     if r.n_edges == 0:
@@ -237,51 +226,37 @@ def compare_eigen_concepts(r: Relation) -> EigenConceptReport:
     characteristic vectors of extent and intent. An exact match means the
     eigenvector supports equal extent and intent on the nose.
     """
-    concepts = formal_concepts(r)
+    extents, intents = _concept_masks(r, include_degenerate=False)
     sd = qprob.schmidt(qprob.build_state(uniform_distribution(r)))
     keep = sd.coefficients**2 > EIGEN_CUTOFF
     eigenvalues = tuple(float(v) for v in sd.coefficients[keep] ** 2)
-    pairs = []
-    matched_concepts: set[int] = set()
-    for rank, lam in enumerate(eigenvalues):
-        evec_x = np.abs(sd.x_vectors[:, rank])
-        evec_y = np.abs(sd.y_vectors[:, rank])
-        best, best_idx, best_score = None, -1, -np.inf
-        for idx, c in enumerate(concepts):
-            score_x = _cosine(evec_x, _characteristic(r.x_alphabet, c.extent))
-            score_y = _cosine(evec_y, _characteristic(r.y_alphabet, c.intent))
-            score = (score_x + score_y) / 2.0
-            if score > best_score:
-                best, best_idx, best_score = c, idx, score
-                best_scores = (score_x, score_y)
-        support_x = frozenset(
-            s for i, s in enumerate(r.x_alphabet) if evec_x[i] > SUPPORT_CUTOFF
+    evec_x, evec_y = np.abs(sd.x_vectors[:, keep]), np.abs(sd.y_vectors[:, keep])
+    # cos_x[i, c] is eigenpair i's cosine with concept c's extent
+    norm_x, norm_y = np.linalg.norm(evec_x, axis=0), np.linalg.norm(evec_y, axis=0)
+    cos_x = (evec_x.T @ extents.T) / np.outer(norm_x, np.sqrt(extents.sum(axis=1)))
+    cos_y = (evec_y.T @ intents.T) / np.outer(norm_y, np.sqrt(intents.sum(axis=1)))
+    best = np.argmax(cos_x + cos_y, axis=1)  # the first of equal maxima
+    support_x, support_y = evec_x.T > SUPPORT_CUTOFF, evec_y.T > SUPPORT_CUTOFF
+    exact = (support_x == extents[best]).all(axis=1) & (support_y == intents[best]).all(axis=1)
+    pairs = tuple(
+        EigenConceptPair(
+            eigenvalue=lam,
+            concept=FormalConcept(_symbols(r.x_alphabet, x), _symbols(r.y_alphabet, y)),
+            extent_cosine=float(cos_x[i, c]),
+            intent_cosine=float(cos_y[i, c]),
+            exact_support_match=bool(exact[i]),
         )
-        support_y = frozenset(
-            s for i, s in enumerate(r.y_alphabet) if evec_y[i] > SUPPORT_CUTOFF
-        )
-        exact = best is not None and support_x == best.extent and support_y == best.intent
-        if exact:
-            matched_concepts.add(best_idx)
-        pairs.append(
-            EigenConceptPair(
-                eigenvalue=lam,
-                concept=best,
-                extent_cosine=best_scores[0],
-                intent_cosine=best_scores[1],
-                exact_support_match=exact,
-            )
-        )
-    matched = sum(1 for p in pairs if p.exact_support_match)
-    unmatched_eig = len(pairs) - matched
-    unmatched_con = len(concepts) - len(matched_concepts)
+        for i, (lam, c, x, y) in enumerate(zip(eigenvalues, best, extents[best], intents[best]))
+    )
+    matched = int(exact.sum())
+    unmatched_con = len(extents) - len(set(best[exact].tolist()))
     return EigenConceptReport(
         eigenvalues=eigenvalues,
-        pairs=tuple(pairs),
+        pairs=pairs,
         n_eigenpairs=len(pairs),
-        n_concepts=len(concepts),
+        n_concepts=len(extents),
         matched=matched,
-        unmatched_eigenpairs=unmatched_eig,
+        unmatched_eigenpairs=len(pairs) - matched,
         unmatched_concepts=unmatched_con,
-        mismatch=(unmatched_eig > 0 or unmatched_con > 0),
+        mismatch=(matched < len(pairs) or unmatched_con > 0),
     )

@@ -370,8 +370,10 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
 
 def draw_even_subset(n: int, count: int, seed: int) -> SequenceDataset:
     """Draw distinct even-parity bitstrings uniformly, without replacement."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= 63:
+        raise ValueError(
+            f"need 2 <= n <= 63, as the 2**(n-1) even strings are indexed in int64; got n={n}"
+        )
     space = 2 ** (n - 1)
     if not 1 <= count <= space:
         raise ValueError(f"count must lie in [1, {space}]")

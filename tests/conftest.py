@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from qdensity import qprob
 from qdensity.empirical import SequenceDataset
-from qdensity.fca import FormalConcept, Relation, galois_f, galois_g
+from qdensity.fca import FormalConcept, Relation, galois_f, galois_g, uniform_distribution
 from qdensity.qprob import Alphabet, JointDistribution
 
 BITS = Alphabet(("0", "1"))
@@ -133,6 +134,48 @@ def brute_force_concepts(r: Relation, include_degenerate: bool = False) -> list[
     return sorted(
         concepts, key=lambda c: (len(c.extent), sorted(r.x_alphabet.index(s) for s in c.extent))
     )
+
+
+def eigen_concept_scores(r: Relation):
+    """Oracle: score every eigenpair against every concept, one pair at a time.
+
+    Returns the oracle's concepts, and per kept eigenpair its eigenvalue,
+    the (extent cosine, intent cosine) of each concept, the index of the
+    first concept with the best mean score (strict >), and the supports of
+    the eigenvector's absolute values.
+    """
+    concepts = brute_force_concepts(r)
+    sd = qprob.schmidt(qprob.build_state(uniform_distribution(r)))
+    squares = sd.coefficients**2
+    eigenvalues = [float(v) for v in squares[squares > 1e-10]]
+
+    def characteristic(alphabet: Alphabet, subset) -> np.ndarray:
+        return np.array([1.0 if s in subset else 0.0 for s in alphabet])
+
+    def cosine(a: np.ndarray, b: np.ndarray) -> float:
+        return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+    pairs = []
+    for rank, lam in enumerate(eigenvalues):
+        evec_x = np.abs(sd.x_vectors[:, rank])
+        evec_y = np.abs(sd.y_vectors[:, rank])
+        scores = [
+            (
+                cosine(evec_x, characteristic(r.x_alphabet, c.extent)),
+                cosine(evec_y, characteristic(r.y_alphabet, c.intent)),
+            )
+            for c in concepts
+        ]
+        best, best_score = -1, -np.inf
+        for idx, (sx, sy) in enumerate(scores):
+            if (sx + sy) / 2.0 > best_score:
+                best, best_score = idx, (sx + sy) / 2.0
+        support = (
+            frozenset(s for s, v in zip(r.x_alphabet, evec_x) if v > 1e-10),
+            frozenset(s for s, v in zip(r.y_alphabet, evec_y) if v > 1e-10),
+        )
+        pairs.append({"eigenvalue": lam, "scores": scores, "best": best, "support": support})
+    return concepts, pairs
 
 
 @pytest.fixture

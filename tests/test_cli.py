@@ -73,6 +73,20 @@ class TestReduce:
         payload = json.loads(invoke(runner, ["reduce", str(csv), "--order", str(order)]).output)
         assert payload["x_alphabet"] == ["a", "b"]
 
+    def test_order_rejected_on_dataset(self, runner, tmp_path):
+        data = tmp_path / "data.txt"
+        data.write_text("a u\nb v\n")
+        order = tmp_path / "order.txt"
+        order.write_text("b a\nu v\n")
+        result = runner.invoke(main, ["reduce", str(data), "--cut", "1", "--order", str(order)])
+        assert result.exit_code == 1
+        assert "--order" in result.output
+
+    def test_cut_rejected_on_csv(self, runner, three_phrase_csv):
+        result = runner.invoke(main, ["reduce", str(three_phrase_csv), "--cut", "5"])
+        assert result.exit_code == 1
+        assert "--cut" in result.output
+
     def test_byte_identical_reruns(self, runner, three_phrase_csv, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -254,6 +268,13 @@ class TestParity:
     def test_train_flag_validation(self, runner, tmp_path):
         result = runner.invoke(main, ["parity", "train", "--model", str(tmp_path / "m.json")])
         assert result.exit_code != 0
+
+    def test_train_rejects_n_beyond_int64(self, runner, tmp_path):
+        model = str(tmp_path / "m.json")
+        args = ["parity", "train", "--n", "64", "--fraction", "1e-17", "--model", model]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "int64" in result.output
 
     def test_eval_rejects_bad_model(self, runner, tmp_path):
         bad = tmp_path / "m.json"

@@ -81,6 +81,18 @@ class TestDecompose:
             acc = sum(w * d.matrix for _, w, d in terms)
             assert np.max(np.abs(acc - target.matrix)) < 1e-12
 
+    def test_parts_equal_full_prefix_densities(self):
+        rng = np.random.default_rng(73)
+        for _ in range(10):
+            cs = CorpusState.from_dataset(random_dataset(rng, 3, 4, int(rng.integers(4, 40))))
+            pos = int(rng.integers(1, 4))
+            for prefix, _, dens in decompose(cs, {pos: cs.prefixes[0][pos - 1]}):
+                want = pattern_density(cs, dict(enumerate(prefix, 1)), normalized=True)
+                assert dens.pattern == want.pattern
+                assert dens.weight == want.weight
+                assert dens.normalized
+                assert dens.matrix.tobytes() == want.matrix.tobytes()
+
 
 class TestLoewnerOrder:
     def test_chain(self, corpus):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qdensity import fca
 from qdensity.qprob import Alphabet
 
-from conftest import brute_force_concepts
+from conftest import brute_force_concepts, eigen_concept_scores
 
 THREE_EDGE = [("orange", "fruit"), ("green", "fruit"), ("purple", "vegetable")]
 FOUR_EDGE = THREE_EDGE[:2] + [("green", "vegetable"), ("purple", "vegetable")]
@@ -226,6 +226,55 @@ class TestCompareEigenConcepts:
         d = fca.compare_eigen_concepts(three_edge()).to_dict()
         assert d["matched"] == 2
         assert len(d["pairs"]) == 2
+
+    def test_exact_tie_goes_to_first_concept(self):
+        # swapping the sides maps the relation onto itself, so the top
+        # eigenpair scores both concepts equally; the first listed wins
+        r = fca.Relation.from_pairs([("a", "u"), ("a", "v"), ("b", "u")])
+        _, oracle = eigen_concept_scores(r)
+        (ax, ay), (bx, by) = oracle[0]["scores"]
+        assert ax + ay == pytest.approx(bx + by, abs=1e-12)
+        assert fca.compare_eigen_concepts(r).pairs[0].concept == fca.formal_concepts(r)[0]
+
+    @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+    @pytest.mark.parametrize("density", [0.2, 0.4, 0.6, 0.8, 1.0])
+    def test_matches_per_pair_oracle(self, density, tall):
+        rng = np.random.default_rng([int(density * 10), tall, 7])
+        for _ in range(6):
+            short = int(rng.integers(1, 9))
+            long = int(rng.integers(short + 1, 11))
+            table = rng.random((long, short) if tall else (short, long)) < density
+            if not table.any():
+                continue
+            r = relation(table)
+            concepts, oracle = eigen_concept_scores(r)
+            report = fca.compare_eigen_concepts(r)
+            assert report.n_concepts == len(concepts)
+            assert report.eigenvalues == tuple(p["eigenvalue"] for p in oracle)
+            assert report.n_eigenpairs == len(report.pairs) == len(oracle)
+            exact_concepts = set()
+            for pair, want in zip(report.pairs, oracle):
+                assert pair.eigenvalue == want["eigenvalue"]
+                means = [(sx + sy) / 2 for sx, sy in want["scores"]]
+                best = means[want["best"]]
+                tied = [i for i, m in enumerate(means) if best - m <= 1e-12]
+                idx = concepts.index(pair.concept)
+                assert idx in tied
+                if len(tied) == 1:
+                    assert idx == want["best"]
+                sx, sy = want["scores"][idx]
+                assert abs(pair.extent_cosine - sx) <= 1e-14
+                assert abs(pair.intent_cosine - sy) <= 1e-14
+                exact = want["support"] == (pair.concept.extent, pair.concept.intent)
+                assert pair.exact_support_match == exact
+                if exact:
+                    exact_concepts.add(idx)
+            assert report.matched == sum(p.exact_support_match for p in report.pairs)
+            assert report.unmatched_eigenpairs == report.n_eigenpairs - report.matched
+            assert report.unmatched_concepts == len(concepts) - len(exact_concepts)
+            assert report.mismatch == (
+                report.unmatched_eigenpairs > 0 or report.unmatched_concepts > 0
+            )
 
     def test_edgeless_relation_rejected(self):
         r = fca.Relation(Alphabet(("a",)), Alphabet(("u",)), np.zeros((1, 1), bool))

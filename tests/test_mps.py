@@ -326,6 +326,11 @@ class TestDrawEvenSubset:
         with pytest.raises(ValueError):
             mps.draw_even_subset(5, 17, seed=0)
 
+    def test_length_bound(self):
+        assert mps.draw_even_subset(63, 5, seed=0).length == 63
+        with pytest.raises(ValueError, match="int64"):
+            mps.draw_even_subset(64, 5, seed=0)
+
 
 class TestRunExperiment:
     def test_full_fraction_is_exact(self):
