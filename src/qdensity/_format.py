@@ -5,6 +5,13 @@ serializer exists to pin the output format: every float is written with
 %.17g, which round-trips any double exactly and byte-for-byte identically
 across runs. Infinities follow the json module's readable spelling so
 json.loads can parse everything back.
+
+Arrays are converted with tolist, so every matrix row, vector and
+eigenvalue list reaches the encoder as a list of Python floats. A list
+whose entries are all finite Python floats is written with one
+%-format of the whole row; its bytes are those of formatting each entry
+with %.17g and joining them. Any other list (NaN, infinities, ints,
+bools, strings, nested lists) is encoded entry by entry.
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(float(x), ".17g")
+
+
+def _finite_floats(row) -> bool:
+    return set(map(type, row)) == {float} and all(map(math.isfinite, row))
 
 
 def _string(s: str) -> str:
@@ -66,6 +77,9 @@ def _encode(obj, parts: list[str], indent: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
+            return
+        if _finite_floats(obj):
+            parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
             return
         parts.append("[")
         for i, value in enumerate(obj):

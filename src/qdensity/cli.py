@@ -83,7 +83,7 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         raise _fail(str(exc))
     table = np.zeros((len(x_syms), len(y_syms)))
     for (x, y), p in entries.items():
-        table[x_syms.index(x), y_syms.index(y)] = p
+        table[x_alpha.index(x), y_alpha.index(y)] = p
     total = float(table.sum())
     if abs(total - 1.0) > 1e-9:
         raise _fail(f"{path}: probabilities sum to {format_float(total)}, expected 1")

@@ -58,14 +58,14 @@ class SequenceDataset:
     def __init__(self, alphabet: Alphabet, length: int, samples: Iterable[Sequence[str]]):
         if length < 1:
             raise ValueError("sequence length must be positive")
-        lookup = {t: i for i, t in enumerate(alphabet)}
+        positions = alphabet.positions
         rows = []
         for s in samples:
             s = tuple(s)
             if len(s) != length:
                 raise ValueError(f"sample {s!r} does not have length {length}")
             try:
-                rows.append([lookup[t] for t in s])
+                rows.append([positions[t] for t in s])
             except KeyError:
                 raise ValueError(f"sample {s!r} uses tokens outside the alphabet") from None
         self._store(alphabet, np.array(rows, dtype=np.int64).reshape(len(rows), length))

@@ -117,10 +117,12 @@ def _normalize_pattern(cs: CorpusState, pattern: Mapping[int, str]) -> tuple[tup
 
 
 def _matching_indices(cs: CorpusState, items: tuple[tuple[int, str], ...]) -> np.ndarray:
-    symbols = cs.dataset.alphabet.symbols
     mask = np.ones(len(cs.prefix_codes), dtype=bool)
     for pos, token in items:
-        code = symbols.index(token) if token in symbols else -1  # a foreign token matches nothing
+        try:
+            code = cs.dataset.alphabet.index(token)
+        except ValueError:
+            code = -1  # a foreign token matches nothing
         mask &= cs.prefix_codes[:, pos - 1] == code
     return np.flatnonzero(mask)
 

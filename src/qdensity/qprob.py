@@ -15,7 +15,7 @@ order into the matrix M with M[a, i] = amplitude(x_i, y_a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered, duplicate-free list of tokens naming the basis vectors."""
+    """Ordered, duplicate-free list of tokens naming the basis vectors.
+
+    positions maps each token to its index. It is built once, from symbols,
+    and is read-only by convention; it takes no part in == or hash.
+    """
 
     symbols: tuple[str, ...]
+    positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
         if not self.symbols:
             raise ValueError("alphabet must be nonempty")
-        if len(set(self.symbols)) != len(self.symbols):
+        positions = {t: i for i, t in enumerate(self.symbols)}
+        if len(positions) != len(self.symbols):
             raise ValueError("alphabet symbols must be distinct")
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -74,7 +81,11 @@ class Alphabet:
         return iter(self.symbols)
 
     def index(self, symbol: str) -> int:
-        return self.symbols.index(symbol)
+        """Position of symbol; ValueError when it is not in the alphabet."""
+        try:
+            return self.positions[symbol]
+        except KeyError:
+            raise ValueError(f"{symbol!r} is not in the alphabet") from None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +178,45 @@ def eigen_concept_scores(r: Relation):
         )
         pairs.append({"eigenvalue": lam, "scores": scores, "best": best, "support": support})
     return concepts, pairs
+
+
+def per_element_dumps(obj, indent: int = 0) -> str:
+    """Oracle: the pinned JSON text built one value at a time.
+
+    Every float is formatted on its own with format(x, ".17g"), NaN and the
+    infinities spelled as the json module reads them; strings and keys go
+    through json.dumps; numpy scalars and arrays become Python values first.
+    """
+    pad = "  " * indent
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return format(obj, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{pad}  {json.dumps(k, ensure_ascii=False)}: {per_element_dumps(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(per_element_dumps(v, indent) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 @pytest.fixture

@@ -149,6 +149,11 @@ class TestBornProbability:
         with pytest.raises(ValueError):
             mps.born_probability(model, "01")
 
+    def test_unknown_token(self):
+        model = mps.train(even_dataset(4), CFG)
+        with pytest.raises(ValueError, match="token '2' is not in the model's alphabet"):
+            mps.born_probability(model, "0120")
+
 
 class TestParityTarget:
     def test_two_sites(self):
@@ -258,6 +263,19 @@ class TestSample:
         model = mps.train(even_dataset(6), CFG)
         assert mps.sample(model, 50, seed=12) == mps.sample(model, 50, seed=12)
         assert mps.sample(model, 50, seed=12) != mps.sample(model, 50, seed=13)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 10**9])
+    def test_lines_independent_of_block_size(self, monkeypatch, block):
+        rng = np.random.default_rng(16)
+        words = Alphabet(("red", "green", "blue"))
+        rows = [tuple(words.symbols[i] for i in r) for r in rng.integers(0, 3, size=(40, 4))]
+        models = [mps.train(even_dataset(6), CFG), mps.train(SequenceDataset(words, 4, rows), TrainConfig(chi=3))]
+        expected = [[mps.sample(m, count, seed=17) for count in (3, 150)] for m in models]
+        monkeypatch.setattr(mps, "SAMPLE_BLOCK", block)
+        for m, lines in zip(models, expected):
+            assert [mps.sample(m, count, seed=17) for count in (3, 150)] == lines
+        assert all(len(s) == 6 for s in expected[0][1])
+        assert all(len(s.split(" ")) == 4 and set(s.split(" ")) <= set(words) for s in expected[1][1])
 
     def test_trained_model_frequencies(self):
         model = mps.train(even_dataset(5), CFG)

@@ -34,6 +34,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             Alphabet(("a", "a"))
 
+    def test_alphabet_positions(self):
+        a = Alphabet(["u", "v", "w"])
+        assert a.positions == {"u": 0, "v": 1, "w": 2}
+        assert [a.index(s) for s in ("w", "u", "v")] == [2, 0, 1]
+        for unknown in ("x", "", 0):
+            with pytest.raises(ValueError, match="not in the alphabet"):
+                a.index(unknown)
+
+    def test_alphabet_positions_take_no_part_in_equality(self):
+        a, b = Alphabet(("u", "v")), Alphabet(["u", "v"])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Alphabet(("v", "u"))
+        assert repr(a) == "Alphabet(symbols=('u', 'v'))"
+
     def test_joint_rejects_negative(self):
         with pytest.raises(ValueError):
             JointDistribution(Alphabet(("a",)), Alphabet(("u", "v")), [[1.1, -0.1]])
