@@ -55,7 +55,8 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         cells = line.split(",")
         if len(cells) != 3:
             raise _fail(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
-        x, y, p_str = (c.strip() for c in cells)
+        x, y, p_str = cells
+        x, y, p_str = x.strip(), y.strip(), p_str.strip()
         try:
             p = float(p_str)
         except ValueError:

@@ -2,16 +2,18 @@
 
 The sweep never materializes the full state. One right-to-left ranking
 pass over the dataset's code matrix gives every sample's suffix rank at
-every position; the ranks of the whole samples pick out and count the
-distinct samples, and the ranks at position k group them by suffix for the
-cut at k. At each cut the sweep maps every distinct sample's prefix through
-the isometries collected so far, sums the weighted (bond x physical)
-vectors of each suffix group with one bincount, forms the reduced density
-from those sums, keeps its top eigenvectors as the next tensor, and applies
-that tensor with one matrix product and one gather. It finishes with the
-untruncated residual map. The resulting chain of order-3 tensors supports
-exact Born probabilities, inner products, ancestral sampling, and the
-subset-fraction experiment.
+every position, each column ranked by a presence table, or by a sort when
+the alphabet makes the table wider than twice the sample count; the ranks
+of the whole samples pick out and count the distinct samples, and the
+ranks at position k group them by suffix for the cut at k. At each cut the
+sweep maps every distinct sample's prefix through the isometries collected
+so far, sums the weighted (bond x physical) vectors of each suffix group
+with one bincount, forms the reduced density from those sums, keeps its
+top eigenvectors as the next tensor, and applies that tensor with one
+matrix product and one gather. It finishes with the untruncated residual
+map. The resulting chain of order-3 tensors supports exact Born
+probabilities, inner products (two matrix products per site), ancestral
+sampling, and the subset-fraction experiment.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -117,6 +119,25 @@ class MatrixProductState:
         return (1,) + tuple(t.shape[2] for t in self.tensors)
 
 
+def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Rank of every key among the distinct keys, and their count; keys lie in [0, span).
+
+    The ranks and count are np.unique(keys, return_inverse=True)'s inverse
+    and length. When the span is at most twice the key count, a presence
+    table over the span ranks each key by the table's running count: O(span)
+    work and no sort. Wider spans take the sort, whose memory stays linear in
+    the key count however large the span.
+    """
+    if span <= 2 * len(keys):
+        seen = np.zeros(span, dtype=bool)
+        seen[keys] = True
+        table = np.cumsum(seen, dtype=np.intp) - 1
+        return table[keys], int(table[-1]) + 1 if span else 0
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    # numpy 2.0.x returns the inverse with the input's shape; flatten it
+    return inverse.reshape(-1), len(distinct)
+
+
 def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
     """Rank of every suffix among the distinct suffixes: ranks[k, i] ranks codes[i, k:].
 
@@ -124,14 +145,16 @@ def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
     suffix at k + 1), so ranking the keys codes[:, k] * size + g, where g
     holds the ranks at k + 1 and size their count, orders the suffixes
     lexicographically, exactly as a row-wise np.unique of codes[:, k:] does.
-    The keys stay below n_samples * d. Row 0 ranks the whole samples.
+    The keys lie below d * size <= d * n_samples, d = codes.max() + 1, so
+    _dense_ranks ranks them by presence table whenever d * size is at most
+    twice n_samples (every column of a bit dataset) and by sort otherwise.
+    Row 0 ranks the whole samples.
     """
     ranks = np.empty(codes.shape[::-1], dtype=np.intp)
+    d = int(codes.max(initial=0)) + 1
     g, size = np.zeros(len(codes), dtype=np.intp), 1
     for k in range(codes.shape[1] - 1, -1, -1):
-        keys, inverse = np.unique(codes[:, k] * size + g, return_inverse=True)
-        # numpy 2.0.x returns the inverse with the input's shape; flatten it
-        g, size = inverse.reshape(-1), len(keys)
+        g, size = _dense_ranks(codes[:, k] * size + g, d * size)
         ranks[k] = g
     return ranks
 
@@ -288,7 +311,13 @@ def parity_target(n: int) -> MatrixProductState:
 
 
 def inner_product(a: MatrixProductState, b: MatrixProductState) -> float:
-    """Exact overlap of two models via the transfer contraction."""
+    """Exact overlap of two models via the transfer contraction.
+
+    The environment env[l, m] over the two left bonds advances one site by
+    two matrix products: env.T @ a's tensor sums out a's left bond, and the
+    result, with rows (b's left bond, symbol), meets b's tensor in the
+    second.
+    """
     if a.n != b.n or a.physical_dim != b.physical_dim:
         raise ValueError("models must share length and physical dimension")
     if a.alphabet != b.alphabet:
@@ -297,7 +326,9 @@ def inner_product(a: MatrixProductState, b: MatrixProductState) -> float:
         )
     env = np.ones((1, 1))
     for ta, tb in zip(a.tensors, b.tensors):
-        env = np.einsum("lm,lpr,mps->rs", env, ta, tb, optimize=True)
+        (la, p, ra), (lb, _, rb) = ta.shape, tb.shape
+        half = (env.T @ ta.reshape(la, p * ra)).reshape(lb * p, ra)
+        env = half.T @ tb.reshape(lb * p, rb)
     return float(env[0, 0])
 
 

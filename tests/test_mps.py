@@ -199,13 +199,28 @@ class TestInnerProduct:
                 vec = vec @ t[:, b, :]
             return vec[0]
 
+        def brute(a, b):
+            strings = itertools.product(range(a.physical_dim), repeat=a.n)
+            return sum(amplitude(a, s) * amplitude(b, s) for s in strings)
+
         for n in (4, 7):
             a, b = random_model(n), random_model(n)
-            brute = sum(
-                amplitude(a, bits) * amplitude(b, bits)
-                for bits in itertools.product((0, 1), repeat=n)
-            )
-            assert mps.inner_product(a, b) == pytest.approx(brute, abs=1e-10)
+            assert mps.inner_product(a, b) == pytest.approx(brute(a, b), abs=1e-10)
+
+        # trained models with more symbols and unequal bonds: the two bond
+        # dimensions differ and each site has more than two physical slices
+        for d in (3, 4):
+            symbols = Alphabet(tuple("abcd"[:d]))
+            models = [
+                mps.train(SequenceDataset.from_codes(symbols, rng.integers(d, size=(40, 5))), TrainConfig(chi=chi))
+                for chi in (1, 3, 5)
+            ]
+            for a, b in itertools.product(models, repeat=2):
+                assert abs(mps.inner_product(a, b) - brute(a, b)) < 1e-12
+        bits = mps.train(random_even_subset(7, 20, seed=76), TrainConfig(chi=3))
+        target = mps.parity_target(7)
+        assert bits.bond_dims != target.bond_dims
+        assert abs(mps.inner_product(bits, target) - brute(bits, target)) < 1e-12
 
     def test_symmetry_and_cauchy_schwarz(self):
         a = mps.train(random_even_subset(6, 8, seed=10), CFG)

@@ -61,18 +61,56 @@ def test_step_densities_and_born_table_match_dense_sweep(ds, chi):
     assert np.max(np.abs(table - dense_sweep_distribution(ds, chi))) < 1e-10
 
 
-def test_suffix_ranks_match_row_unique():
+def rank_cases():
+    """Code matrices for the suffix ranks: small alphabets, then wide ones over a
+    few dozen rows, where d * size outgrows twice the row count and the sort
+    ranks the keys, then codes that use only a sparse subset of their alphabet."""
     rng = np.random.default_rng(7)
     for _ in range(25):
         d = int(rng.integers(2, 6))
         n = int(rng.integers(1, 9))
         pool = rng.integers(d, size=(int(rng.integers(1, 40)), n))
-        codes = pool[rng.integers(len(pool), size=int(rng.integers(1, 120)))]
+        yield pool[rng.integers(len(pool), size=int(rng.integers(1, 120)))]
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        d = int(rng.integers(20, 300))
+        n = int(rng.integers(1, 7))
+        pool = rng.integers(d, size=(int(rng.integers(1, 30)), n))
+        yield pool[rng.integers(len(pool), size=int(rng.integers(1, 60)))]
+    for _ in range(25):
+        used = rng.choice(300, size=int(rng.integers(1, 5)), replace=False)
+        n = int(rng.integers(1, 7))
+        yield used[rng.integers(len(used), size=(int(rng.integers(1, 60)), n))]
+
+
+def test_suffix_ranks_match_row_unique():
+    for codes in rank_cases():
+        n = codes.shape[1]
         ranks = mps._suffix_ranks(codes)
         assert ranks.shape == (n, len(codes))
         for k in range(n):
             _, inverse = np.unique(codes[:, k:], axis=0, return_inverse=True)
             assert np.array_equal(ranks[k], inverse.reshape(-1))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_dense_ranks_match_unique_on_both_sides_of_the_table_bound(extra):
+    # span 2 * len(keys) takes the presence table, one more takes the sort
+    rng = np.random.default_rng(19 + extra)
+    for size in (1, 2, 5, 40, 300):
+        span = 2 * size + extra
+        for keys in (rng.integers(span, size=size), np.full(size, span - 1), np.arange(size) * 2 + extra):
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            ranks, count = mps._dense_ranks(keys, span)
+            assert np.array_equal(ranks, inverse.reshape(-1))
+            assert count == len(distinct)
+
+
+def test_dense_ranks_never_tabulate_a_wide_span():
+    # a presence table over 10**12 keys cannot be allocated, so this returns at once only by sorting
+    ranks, count = mps._dense_ranks(np.array([5, 10**12 - 1, 5]), 10**12)
+    assert ranks.tolist() == [0, 1, 0]
+    assert count == 2
 
 
 def test_sample_arrays_are_the_distinct_rows():
