@@ -72,9 +72,10 @@ def _require_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
 
 def _column_signs(vectors: np.ndarray) -> np.ndarray:
     """Per-column +1 or -1 that makes each column's first nonzero coordinate positive."""
-    nonzero = np.abs(vectors) > _SIGN_EPS
-    first = nonzero & (np.cumsum(nonzero, axis=0) == 1)
-    return np.where((vectors * first).sum(axis=0) < 0, -1.0, 1.0)
+    first = (np.abs(vectors) > _SIGN_EPS).argmax(axis=0)
+    # a column with no nonzero coordinate leads with its row 0, which is not below -_SIGN_EPS
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    return np.where(lead < -_SIGN_EPS, -1.0, 1.0)
 
 
 def _tie_order(values: np.ndarray, key_vectors: np.ndarray) -> list[int]:
@@ -107,8 +108,10 @@ def sym_eigen(m) -> SymEigen:
     w, v = np.linalg.eigh(a)
     w, v = w[::-1], v[:, ::-1]  # eigh is ascending
     v = v * _column_signs(v)
-    order = _tie_order(w, v)
-    return SymEigen(w[order], np.ascontiguousarray(v[:, order]))
+    if np.any(w[:-1] - w[1:] <= _TIE_TOL):
+        order = _tie_order(w, v)
+        w, v = w[order], v[:, order]
+    return SymEigen(np.ascontiguousarray(w), np.ascontiguousarray(v))
 
 
 def svd(m) -> Svd:

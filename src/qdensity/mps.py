@@ -12,8 +12,13 @@ with one bincount, forms the reduced density from those sums, keeps its
 top eigenvectors as the next tensor, and applies that tensor with one
 matrix product and one gather. It finishes with the untruncated residual
 map. The resulting chain of order-3 tensors supports exact Born
-probabilities, inner products (two matrix products per site), ancestral
-sampling, and the subset-fraction experiment.
+probabilities, inner products, ancestral sampling, and the subset-fraction
+experiment. Every contraction is a few large matrix products: the inner
+product and the sampler's right environments take two per site; the
+sampler advances all its chains at once, one product per site for every
+branch and a few more for the weights and running sums; and a Born
+probability multiplies its string's gathered site matrices pairwise, in
+ceil(log2 n) levels, from a padded per-model stack built on first use.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -26,7 +31,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,6 +65,12 @@ THREADS_ENV = "QDENSITY_THREADS"
 # lookup took the process peak from 51 to 64 MB, and 4096-draw blocks still
 # left a train, eval, sample sequence about 1 MB above 1024-draw ones.
 SAMPLE_BLOCK = 1024
+# widest bond for which born_probability multiplies a cached stack of padded
+# site matrices pairwise. Each of its levels costs B**3 per pair where the
+# left-to-right contraction costs B**2 per site; on 20-site chains the two
+# cross near B = 20. The cap also bounds the stack, (P, d, B, B) with P < 2n
+# and d <= B, at 32 KB per stacked site.
+BORN_STACK_WIDTH = 16
 
 
 @dataclass(frozen=True)
@@ -80,12 +91,17 @@ class MatrixProductState:
 
     alphabet names the physical basis states; it defaults to the index
     strings "0", ..., "d-1", which are the bits when d = 2.
+
+    born_stack caches born_probability's padded site matrices. It is built
+    on first use, read-only, and takes no part in repr or pickling; == and
+    hash are identity.
     """
 
     n: int
     physical_dim: int
     tensors: tuple[np.ndarray, ...]
     alphabet: Alphabet | None = None
+    born_stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tensors = tuple(np.asarray(t, dtype=float) for t in self.tensors)
@@ -113,6 +129,14 @@ class MatrixProductState:
             t.flags.writeable = False
             frozen.append(t)
         object.__setattr__(self, "tensors", tuple(frozen))
+
+    def __getstate__(self):
+        return {**self.__dict__, "born_stack": None}
+
+    def __setstate__(self, state):
+        for t in state["tensors"]:
+            t.flags.writeable = False
+        self.__dict__.update(state)
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
@@ -269,17 +293,51 @@ def _indices(m: MatrixProductState, s) -> list[int]:
         raise ValueError(f"token {exc.args[0]!r} is not in the model's alphabet") from None
 
 
+def _born_stack(m: MatrixProductState) -> np.ndarray | None:
+    """The model's (P, d, B, B) stack of padded site matrices; None when B > BORN_STACK_WIDTH.
+
+    B is the widest bond and P is n rounded up to a power of two. stack[k, p]
+    is tensors[k][:, p, :] zero-padded to B x B, so products of padded
+    matrices carry the true ones in their top-left corners; the P - n pad
+    sites hold the identity under every symbol. Built once per model.
+    """
+    if m.born_stack is None:
+        bond = max(m.bond_dims)
+        if bond > BORN_STACK_WIDTH:
+            return None
+        stack = np.zeros((1 << (m.n - 1).bit_length(), m.physical_dim, bond, bond))
+        stack[m.n :] = np.eye(bond)
+        for k, t in enumerate(m.tensors):
+            stack[k, :, : t.shape[0], : t.shape[2]] = t.transpose(1, 0, 2)
+        stack.flags.writeable = False
+        object.__setattr__(m, "born_stack", stack)
+    return m.born_stack
+
+
 def born_probability(m: MatrixProductState, s) -> float:
-    """Squared amplitude of one sequence via left-to-right contraction.
+    """Squared amplitude of one sequence: the product of its site matrices.
 
     s is a sequence of alphabet tokens (compared as strings, so the bits of
     a bit model may be ints), or a string read the way a dataset line is:
     tokens separated by spaces, or one token per character.
+
+    One fancy index gathers the string's matrices from the model's cached
+    stack (see _born_stack), and pairwise products, mats[0::2] @ mats[1::2],
+    multiply them in log2 P levels, 5 for n = 20; the amplitude is the
+    product's top-left entry. Models wider than BORN_STACK_WIDTH contract
+    left to right instead, one vector-matrix product per site.
     """
-    vec = np.ones(1)
-    for tensor, i in zip(m.tensors, _indices(m, s)):
-        vec = vec @ tensor[:, i, :]
-    return float(vec[0] ** 2)
+    indices = _indices(m, s)
+    stack = _born_stack(m)
+    if stack is None:
+        vec = np.ones(1)
+        for tensor, i in zip(m.tensors, indices):
+            vec = vec @ tensor[:, i, :]
+        return float(vec[0] ** 2)
+    mats = stack[np.arange(len(stack)), indices + [0] * (len(stack) - m.n)]
+    while len(mats) > 1:
+        mats = mats[0::2] @ mats[1::2]
+    return float(mats[0, 0, 0] ** 2)
 
 
 def distribution_table(m: MatrixProductState, max_outcomes: int = 2**22) -> np.ndarray:
@@ -368,25 +426,34 @@ def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
     d = m.physical_dim
     envs: list[np.ndarray] = [np.ones((1, 1))]
     for t in reversed(m.tensors):
-        envs.append(np.einsum("lpr,mps,rs->lm", t, t, envs[-1], optimize=True))
+        l, _, r = t.shape
+        half = (t.reshape(l * d, r) @ envs[-1]).reshape(l, d * r)
+        envs.append(half @ t.reshape(l, d * r).T)
     envs.reverse()  # envs[k] covers sites k..n-1 (0-based)
     rng = np.random.default_rng(seed)
     vecs = np.ones((count, 1))
     choices = np.empty((count, m.n), dtype=np.min_scalar_type(d - 1))  # one byte each for d <= 256
+    upper = np.triu(np.ones((d, d)))  # weights @ upper: running sums over the symbols
+    offsets = np.arange(count) * d
     for k, t in enumerate(m.tensors):
-        env = envs[k + 1]
-        branch = np.stack([vecs @ t[:, p, :] for p in range(d)], axis=1)  # (count, d, r)
-        probs = np.einsum("cpr,rs,cps->cp", branch, env, branch, optimize=True)
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum(axis=1, keepdims=True)
-        draws = rng.random(count)
-        cdf = np.cumsum(probs, axis=1)
-        pick = np.minimum((draws[:, None] > cdf).sum(axis=1), d - 1)
+        l, _, r = t.shape
+        branch = (vecs @ t.reshape(l, d * r)).reshape(count * d, r)  # row c * d + p: chain c, symbol p
+        # ((branch @ env) * branch) @ ones(r), in place: one more (count * d, r)
+        # array alive here raised the parity_model benchmark's peak RSS from
+        # 54.6 to 57.1 MB
+        weights = branch @ envs[k + 1]
+        weights *= branch
+        weights = weights @ np.ones(r)
+        weights = np.clip(weights, 0.0, None, out=weights).reshape(count, d)
+        running = weights @ upper
+        scaled = rng.random(count) * running[:, -1]
+        pick = np.minimum((running < scaled[:, None]) @ np.ones(d), d - 1).astype(np.intp)
         choices[:, k] = pick
-        vecs = branch[np.arange(count), pick, :]
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        vecs /= norms
+        chosen = offsets + pick
+        vecs = branch[chosen]
+        scale = weights.reshape(-1)[chosen]
+        scale[scale == 0] = 1.0  # an all-zero chain picks symbol 0 and stays as it is
+        vecs /= np.sqrt(scale)[:, None]
     return choices
 
 
@@ -395,7 +462,13 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
 
     Conditional probabilities come from right environments, so each symbol
     is drawn from its true conditional given the prefix so far. All chains
-    advance together, one site per round. Each draw is a line of alphabet
+    advance together, one site per round: one matrix product maps every
+    chain's vector through every symbol's slice, the conditional weights
+    are the branches' quadratic forms in the environment, and a chain picks
+    the number of running weight sums its uniform draw, scaled by the
+    total, exceeds; one whose weights are all zero picks symbol 0. Its
+    chosen branch, gathered by flat index, is rescaled by the square root
+    of its weight, when that is not zero. Each draw is a line of alphabet
     tokens, joined without separator when every token is one character and
     by single spaces otherwise, so parse_dataset reads the lines back.
 
@@ -443,14 +516,16 @@ class ExperimentRow:
     bhattacharyya: float
 
 
-def _experiment_cell(args: tuple[int, float, int, int, int, float]) -> ExperimentRow:
-    n, fraction, replica, seed, chi, tolerance = args
+def _experiment_cell(
+    args: tuple[int, float, int, int, int, float, MatrixProductState]
+) -> ExperimentRow:
+    n, fraction, replica, seed, chi, tolerance, target = args
     count = round(fraction * 2 ** (n - 1))
     if count < 1:
         raise ValueError(f"fraction {fraction} draws no samples at n={n}")
     ds = draw_even_subset(n, count, seed)
     model = train(ds, TrainConfig(chi=chi, tolerance=tolerance))
-    distance = overlap_distance(inner_product(model, parity_target(n)))
+    distance = overlap_distance(inner_product(model, target))
     return ExperimentRow(fraction, replica, seed, count, distance)
 
 
@@ -489,8 +564,9 @@ def run_experiment(
     for f in fractions:
         if not 0 < f <= 1:
             raise ValueError(f"fraction {f} outside (0, 1]")
+    target = parity_target(n)
     tasks = [
-        (n, f, r, base_seed + r, cfg.chi, cfg.tolerance)
+        (n, f, r, base_seed + r, cfg.chi, cfg.tolerance, target)
         for f in fractions
         for r in range(replicas)
     ]

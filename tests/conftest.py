@@ -117,6 +117,77 @@ def dense_sweep_distribution(ds: SequenceDataset, chi: int) -> np.ndarray:
     return cur.reshape(-1) ** 2
 
 
+def reference_sample_codes(m, count: int, seed: int) -> np.ndarray:
+    """Oracle: the ancestral sampler one site at a time, by einsum contractions.
+
+    The (count, n) alphabet indices of count > 0 draws. Right environments
+    and conditional probabilities are path-searched einsums, the branches a
+    stack of per-symbol slices, and each chain is renormalized by its
+    Euclidean norm; only ratios of weights decide a draw, so the choices
+    are those of mps.sample on the same seed.
+    """
+    d = m.physical_dim
+    envs: list[np.ndarray] = [np.ones((1, 1))]
+    for t in reversed(m.tensors):
+        envs.append(np.einsum("lpr,mps,rs->lm", t, t, envs[-1], optimize=True))
+    envs.reverse()  # envs[k] covers sites k..n-1 (0-based)
+    rng = np.random.default_rng(seed)
+    vecs = np.ones((count, 1))
+    choices = np.empty((count, m.n), dtype=np.min_scalar_type(d - 1))  # one byte each for d <= 256
+    for k, t in enumerate(m.tensors):
+        env = envs[k + 1]
+        branch = np.stack([vecs @ t[:, p, :] for p in range(d)], axis=1)  # (count, d, r)
+        probs = np.einsum("cpr,rs,cps->cp", branch, env, branch, optimize=True)
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum(axis=1, keepdims=True)
+        draws = rng.random(count)
+        cdf = np.cumsum(probs, axis=1)
+        pick = np.minimum((draws[:, None] > cdf).sum(axis=1), d - 1)
+        choices[:, k] = pick
+        vecs = branch[np.arange(count), pick, :]
+        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        vecs /= norms
+    return choices
+
+
+_SIGN_EPS = 1e-12
+_TIE_TOL = 1e-9
+
+
+def reference_sym_eigen(m) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: linalg.sym_eigen's canonical form by its first construction.
+
+    Each column's sign comes from a running count of its coordinates above
+    1e-12, and every spectrum goes through the tie pass, which groups
+    adjacent eigenvalues no more than 1e-9 apart and sorts each group's
+    vectors lexicographically, greatest first. Returns (values, vectors).
+    """
+    a = np.asarray(m, dtype=float)
+    w, v = np.linalg.eigh(a)
+    w, v = w[::-1], v[:, ::-1]  # eigh is ascending
+    v = v * reference_column_signs(v)
+    order = list(range(len(w)))
+    start = 0
+    for end in range(1, len(w) + 1):
+        if end == len(w) or w[end - 1] - w[end] > _TIE_TOL:
+            if end - start > 1:
+                order[start:end] = sorted(
+                    order[start:end],
+                    key=lambda j: tuple(v[:, j]),
+                    reverse=True,
+                )
+            start = end
+    return w[order], np.ascontiguousarray(v[:, order])
+
+
+def reference_column_signs(vectors: np.ndarray) -> np.ndarray:
+    """Oracle: +1 or -1 per column, making its first coordinate above 1e-12 in size positive."""
+    nonzero = np.abs(vectors) > _SIGN_EPS
+    first = nonzero & (np.cumsum(nonzero, axis=0) == 1)
+    return np.where((vectors * first).sum(axis=0) < 0, -1.0, 1.0)
+
+
 def brute_force_concepts(r: Relation, include_degenerate: bool = False) -> list[FormalConcept]:
     """Oracle: close every object subset with the Galois maps.
 

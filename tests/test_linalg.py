@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdensity import linalg
+from qdensity import linalg, mps
+from conftest import reference_column_signs, reference_sym_eigen
 
 
 class TestSymEigen:
@@ -62,6 +63,39 @@ class TestSymEigen:
                 col = eig.eigenvectors[:, j]
                 nz = np.nonzero(np.abs(col) > 1e-12)[0]
                 assert col[nz[0]] > 0
+
+    def test_bit_identical_to_the_reference_canonicalization(self):
+        rng = np.random.default_rng(23)
+        cases = []
+        for _ in range(300):
+            k = int(rng.integers(1, 7))
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            w = rng.choice([0.0, 0.25, 1.0, 2.0, rng.standard_normal()], size=k)  # planted ties
+            m = (q * w) @ q.T
+            m = (m + m.T) / 2
+            zero = rng.random(k) < 0.3  # planted zero rows and columns
+            m[zero, :] = m[:, zero] = 0.0
+            cases.append(m)
+        cases += [np.eye(3), np.zeros((4, 4)), np.diag([1.0, -1.0, 1.0 + 1e-10, -1.0])]
+        for seed in range(4):
+            ds = mps.draw_even_subset(12, 300 + 100 * seed, seed)
+            cases += [mps.step_density(ds, mps.TrainConfig(chi=2), k) for k in range(2, 12)]
+        for m in cases:
+            eig = linalg.sym_eigen(m)
+            values, vectors = reference_sym_eigen(m)
+            assert np.array_equal(eig.eigenvalues, values)
+            assert np.array_equal(eig.eigenvectors, vectors)
+            assert eig.eigenvectors.flags.c_contiguous and eig.eigenvalues.flags.c_contiguous
+
+    def test_column_signs_match_the_reference(self):
+        rng = np.random.default_rng(29)
+        tiny = [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, -2e-12, 2e-12]
+        for _ in range(2000):
+            shape = tuple(int(x) for x in rng.integers(1, 6, size=2))
+            v = rng.choice(tiny, size=shape)
+            dense = rng.random(shape) < 0.3
+            v[dense] = rng.standard_normal(int(dense.sum()))
+            assert np.array_equal(linalg._column_signs(v), reference_column_signs(v))
 
 
 class TestSvd:

@@ -386,6 +386,19 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             mps.run_experiment(8, [0.001], replicas=1, base_seed=0, cfg=CFG)
 
+    def test_target_built_once_per_run(self, monkeypatch):
+        target, built = mps.parity_target, []
+
+        def counted(n):
+            built.append(n)
+            return target(n)
+
+        monkeypatch.setenv(mps.THREADS_ENV, "1")
+        expected = mps.run_experiment(8, [0.25, 0.5], replicas=3, base_seed=4, cfg=CFG)
+        monkeypatch.setattr(mps, "parity_target", counted)
+        assert mps.run_experiment(8, [0.25, 0.5], replicas=3, base_seed=4, cfg=CFG) == expected
+        assert built == [8]
+
     def test_small_fraction_beats_random_isometry_baseline(self):
         # oracle baseline: models whose interior tensors are random isometries
         n = 16
