@@ -16,9 +16,9 @@ probabilities, inner products, ancestral sampling, and the subset-fraction
 experiment. Every contraction is a few large matrix products: the inner
 product and the sampler's right environments take two per site; the
 sampler advances all its chains at once, one product per site for every
-branch and a few more for the weights and running sums; and a Born
-probability multiplies its string's gathered site matrices pairwise, in
-ceil(log2 n) levels, from a padded per-model stack built on first use.
+branch and two more for the weights; and a Born probability multiplies
+its string's gathered site matrices pairwise, in ceil(log2 n) levels,
+from a padded per-model stack built on first use.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -66,10 +66,13 @@ THREADS_ENV = "QDENSITY_THREADS"
 # left a train, eval, sample sequence about 1 MB above 1024-draw ones.
 SAMPLE_BLOCK = 1024
 # widest bond for which born_probability multiplies a cached stack of padded
-# site matrices pairwise. Each of its levels costs B**3 per pair where the
-# left-to-right contraction costs B**2 per site; on 20-site chains the two
-# cross near B = 20. The cap also bounds the stack, (P, d, B, B) with P < 2n
-# and d <= B, at 32 KB per stacked site.
+# site matrices pairwise; its levels cost B**3 per pair where the
+# left-to-right contraction costs B**2 per site. The cap is the measured
+# crossover: on random bit models, one BLAS thread of a 2.1 GHz Xeon, the
+# pairwise product was the faster at every B <= 16 for n = 8, 20, 64 and 200
+# (15.8 against 20.2 us at n = 20, B = 16) and the slower from B = 20 at
+# n = 8 and 20; at n = 4 the two tie, near 5 us. The stack, (P, d, B, B)
+# with P < 2n and d <= B, then holds at most 32 KB per site.
 BORN_STACK_WIDTH = 16
 
 
@@ -433,7 +436,6 @@ def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vecs = np.ones((count, 1))
     choices = np.empty((count, m.n), dtype=np.min_scalar_type(d - 1))  # one byte each for d <= 256
-    upper = np.triu(np.ones((d, d)))  # weights @ upper: running sums over the symbols
     offsets = np.arange(count) * d
     for k, t in enumerate(m.tensors):
         l, _, r = t.shape
@@ -445,7 +447,7 @@ def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
         weights *= branch
         weights = weights @ np.ones(r)
         weights = np.clip(weights, 0.0, None, out=weights).reshape(count, d)
-        running = weights @ upper
+        running = np.cumsum(weights, axis=1)
         scaled = rng.random(count) * running[:, -1]
         pick = np.minimum((running < scaled[:, None]) @ np.ones(d), d - 1).astype(np.intp)
         choices[:, k] = pick

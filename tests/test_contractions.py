@@ -70,6 +70,17 @@ class TestSampleOracle:
         for seed, m in enumerate(trained_models(), start=count):
             assert mps.sample(m, count, seed) == lines_of(m, reference_sample_codes(m, count, seed))
 
+    def test_wide_alphabets_equal_the_einsum_sampler(self):
+        # hand-built word models with d well above chi**2, bonds d then chi
+        rng = np.random.default_rng(904)
+        for d, n, chi in ((30, 4, 2), (86, 3, 2), (50, 5, 3)):
+            words = Alphabet(tuple(f"w{i}" for i in range(d)))
+            bonds = [1, d] + [chi] * (n - 2) + [1]
+            tensors = [np.eye(d).reshape(1, d, d)]
+            tensors += [np.abs(rng.standard_normal((bonds[k], d, bonds[k + 1]))) for k in range(1, n)]
+            m = MatrixProductState(n, d, tuple(tensors), words)
+            assert mps.sample(m, 300, d) == lines_of(m, reference_sample_codes(m, 300, d))
+
     def test_zero_weights_pick_symbol_zero_without_warnings(self):
         # every conditional weight is 0: each chain takes symbol 0 at every site
         d = 3
