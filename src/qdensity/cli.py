@@ -297,18 +297,13 @@ def _parse_fractions(text: str) -> list[float]:
               type=click.Path(dir_okay=False), help="Where to write the model JSON.")
 def parity_train(n, fraction, data, chi, seed, model_path):
     """Train a model on even-parity data and save it as JSON."""
-    if (data is None) == (fraction is None):
-        raise _fail("give exactly one of --fraction or --data")
+    if (data is None) == (fraction is None) or (data is None) == (n is None):
+        raise _fail("give either --data, or --fraction with --n")
     try:
         if data is not None:
             ds = load_dataset(data)
         else:
-            if n is None:
-                raise _fail("--fraction needs --n")
-            count = round(fraction * 2 ** (n - 1))
-            if count < 1:
-                raise _fail(f"fraction {fraction} draws no samples at n={n}")
-            ds = mps.draw_even_subset(n, count, seed)
+            ds = mps.draw_even_subset(n, mps.even_subset_count(n, fraction), seed)
         model = mps.train(ds, mps.TrainConfig(chi=chi))
     except ValueError as exc:
         raise _fail(str(exc))

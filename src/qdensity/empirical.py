@@ -6,6 +6,10 @@ with no need to build the full state: diagonals are vertex degrees and
 off-diagonals count shared neighbors (length-two paths). For parity-block
 graphs the top eigenvectors of the prefix density are plane rotations whose
 angles come from the block degrees and shared-suffix counts.
+
+Code rows are grouped one way, by _suffix_ranks' right-to-left ranking
+pass: cut_counts ranks its prefix and suffix columns with it, and the MPS
+sweep reads every cut's suffix groups off its ranks.
 """
 
 from __future__ import annotations
@@ -138,13 +142,42 @@ def load_dataset(path, alphabet: Alphabet | None = None) -> SequenceDataset:
         return parse_dataset(fh, alphabet)
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in first-appearance order, and each row's index among them."""
-    distinct, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.argsort(order)  # sorted position -> first-appearance position
-    # numpy 2.0.x returns the inverse with the input's shape; flatten it
-    return distinct[order], rank[inverse.reshape(-1)]
+def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
+    """Rank of every key among the distinct keys, and their count; keys lie in [0, span).
+
+    When the span is at most twice the key count, a presence table over the
+    span ranks each key by the table's running count: O(span) work and no
+    sort. Wider spans rank each key by its np.searchsorted position in
+    np.unique(keys), in memory linear in the key count whatever the span.
+    """
+    if span <= 2 * len(keys):
+        seen = np.zeros(span, dtype=bool)
+        seen[keys] = True
+        table = np.cumsum(seen, dtype=np.intp) - 1
+        return table[keys], int(table[-1]) + 1 if span else 0
+    distinct = np.unique(keys)
+    return np.searchsorted(distinct, keys), len(distinct)
+
+
+def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
+    """Rank of every suffix among the distinct suffixes: ranks[k, i] ranks codes[i, k:].
+
+    One right-to-left pass: the suffix at column k is the pair (codes[:, k],
+    suffix at k + 1), so ranking the keys codes[:, k] * size + g, where g
+    holds the ranks at k + 1 and size their count, orders the suffixes
+    lexicographically, exactly as a row-wise np.unique of codes[:, k:] does.
+    The keys lie below d * size <= d * n_samples, d = codes.max() + 1, so
+    _dense_ranks ranks them by presence table whenever d * size is at most
+    twice n_samples (every column of a bit dataset) and by sort otherwise.
+    Row 0 ranks the whole rows.
+    """
+    ranks = np.empty(codes.shape[::-1], dtype=np.intp)
+    d = int(codes.max(initial=0)) + 1
+    g, size = np.zeros(len(codes), dtype=np.intp), 1
+    for k in range(codes.shape[1] - 1, -1, -1):
+        g, size = _dense_ranks(codes[:, k] * size + g, d * size)
+        ranks[k] = g
+    return ranks
 
 
 def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,8 +191,13 @@ def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError(f"cut must lie in [1, {ds.length - 1}], got {cut}")
     if not ds.n_samples:
         raise ValueError("dataset is empty")
-    prefixes, p_idx = _distinct_rows(ds.codes[:, :cut])
-    suffixes, s_idx = _distinct_rows(ds.codes[:, cut:])
+    sides = []
+    for rows in (ds.codes[:, :cut], ds.codes[:, cut:]):
+        ranks = _suffix_ranks(rows)[0]
+        _, first = np.unique(ranks, return_index=True)  # first[r]: the first row of rank r
+        order = np.argsort(first)  # first-appearance position -> rank
+        sides.append((rows[first[order]], np.argsort(order)[ranks]))
+    (prefixes, p_idx), (suffixes, s_idx) = sides
     shape = (len(prefixes), len(suffixes))
     counts = np.bincount(p_idx * shape[1] + s_idx, minlength=shape[0] * shape[1])
     return prefixes, suffixes, counts.reshape(shape)

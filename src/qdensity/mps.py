@@ -1,24 +1,23 @@
 """Matrix-product generative model trained by a left-to-right spectral sweep.
 
-The sweep never materializes the full state. One right-to-left ranking
-pass over the dataset's code matrix gives every sample's suffix rank at
-every position, each column ranked by a presence table, or by a sort when
-the alphabet makes the table wider than twice the sample count; the ranks
-of the whole samples pick out and count the distinct samples, and the
-ranks at position k group them by suffix for the cut at k. At each cut the
-sweep maps every distinct sample's prefix through the isometries collected
-so far, sums the weighted (bond x physical) vectors of each suffix group
-with one bincount, forms the reduced density from those sums, keeps its
-top eigenvectors as the next tensor, and applies that tensor with one
-matrix product and one gather. It finishes with the untruncated residual
-map. The resulting chain of order-3 tensors supports exact Born
-probabilities, inner products, ancestral sampling, and the subset-fraction
-experiment. Every contraction is a few large matrix products: the inner
-product and the sampler's right environments take two per site; the
-sampler advances all its chains at once, one product per site for every
-branch and two more for the weights; and a Born probability multiplies
-its string's gathered site matrices pairwise, in ceil(log2 n) levels,
-from a padded per-model stack built on first use.
+The sweep never materializes the full state. The ranking pass that
+empirical.cut_counts also uses ranks every sample's suffix at every
+position; the ranks of the whole samples pick out and count the distinct
+samples, and the ranks at position k are the suffix groups of the cut at
+k. At each cut the sweep maps every distinct sample's prefix through the
+isometries collected so far, sums the weighted (bond x physical) vectors
+of each suffix group with one bincount, forms the reduced density from
+those sums, keeps its top eigenvectors as the next tensor, and applies
+that tensor with one matrix product and one gather. It finishes with the
+untruncated residual map. The resulting chain of order-3 tensors
+supports exact Born probabilities, inner products, ancestral sampling,
+and the subset-fraction experiment. Every contraction is a few large
+matrix products: the inner product and the sampler's right environments
+take two per site; the sampler advances all its chains at once, one
+product per site for every branch and two more for the weights; and a
+Born probability multiplies its string's gathered site matrices
+pairwise, in ceil(log2 n) levels, from a padded per-model stack built on
+first use.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -37,8 +36,8 @@ import numpy as np
 
 from . import linalg
 from ._format import dumps
-from .empirical import SequenceDataset, line_tokens
-from .qprob import Alphabet
+from .empirical import SequenceDataset, _suffix_ranks, line_tokens
+from .qprob import Alphabet, _readonly
 
 __all__ = [
     "TrainConfig",
@@ -53,6 +52,7 @@ __all__ = [
     "bhattacharyya",
     "overlap_distance",
     "sample",
+    "even_subset_count",
     "draw_even_subset",
     "run_experiment",
     "save_model",
@@ -74,14 +74,14 @@ SAMPLE_BLOCK = 1024
 # n = 8 and 20; at n = 4 the two tie, near 5 us. The stack, (P, d, B, B)
 # with P < 2n and d <= B, then holds at most 32 KB per site.
 BORN_STACK_WIDTH = 16
+ZERO_NORM = 1e-10  # train refuses a residual map whose norm is below this
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Sweep parameters: truncation rank and numeric tolerance."""
+    """Sweep parameters: the truncation rank."""
 
     chi: int = 2
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.chi < 1:
@@ -126,12 +126,7 @@ class MatrixProductState:
                 raise ValueError(f"bond mismatch between tensors {k - 1} and {k}")
         if tensors[-1].shape[2] != 1:
             raise ValueError("last tensor must close with a bond of size 1")
-        frozen = []
-        for t in tensors:
-            t = t.copy()
-            t.flags.writeable = False
-            frozen.append(t)
-        object.__setattr__(self, "tensors", tuple(frozen))
+        object.__setattr__(self, "tensors", tuple(map(_readonly, tensors)))
 
     def __getstate__(self):
         return {**self.__dict__, "born_stack": None}
@@ -144,46 +139,6 @@ class MatrixProductState:
     @property
     def bond_dims(self) -> tuple[int, ...]:
         return (1,) + tuple(t.shape[2] for t in self.tensors)
-
-
-def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
-    """Rank of every key among the distinct keys, and their count; keys lie in [0, span).
-
-    The ranks and count are np.unique(keys, return_inverse=True)'s inverse
-    and length. When the span is at most twice the key count, a presence
-    table over the span ranks each key by the table's running count: O(span)
-    work and no sort. Wider spans take the sort, whose memory stays linear in
-    the key count however large the span.
-    """
-    if span <= 2 * len(keys):
-        seen = np.zeros(span, dtype=bool)
-        seen[keys] = True
-        table = np.cumsum(seen, dtype=np.intp) - 1
-        return table[keys], int(table[-1]) + 1 if span else 0
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    # numpy 2.0.x returns the inverse with the input's shape; flatten it
-    return inverse.reshape(-1), len(distinct)
-
-
-def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
-    """Rank of every suffix among the distinct suffixes: ranks[k, i] ranks codes[i, k:].
-
-    One right-to-left pass: the suffix at column k is the pair (codes[:, k],
-    suffix at k + 1), so ranking the keys codes[:, k] * size + g, where g
-    holds the ranks at k + 1 and size their count, orders the suffixes
-    lexicographically, exactly as a row-wise np.unique of codes[:, k:] does.
-    The keys lie below d * size <= d * n_samples, d = codes.max() + 1, so
-    _dense_ranks ranks them by presence table whenever d * size is at most
-    twice n_samples (every column of a bit dataset) and by sort otherwise.
-    Row 0 ranks the whole samples.
-    """
-    ranks = np.empty(codes.shape[::-1], dtype=np.intp)
-    d = int(codes.max(initial=0)) + 1
-    g, size = np.zeros(len(codes), dtype=np.intp), 1
-    for k in range(codes.shape[1] - 1, -1, -1):
-        g, size = _dense_ranks(codes[:, k] * size + g, d * size)
-        ranks[k] = g
-    return ranks
 
 
 def _sample_arrays(ds: SequenceDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,7 +221,7 @@ def train(ds: SequenceDataset, cfg: TrainConfig) -> MatrixProductState:
             bond = cfg.chi
         else:
             norm = np.linalg.norm(payload)
-            if norm < cfg.tolerance:
+            if norm < ZERO_NORM:
                 raise ValueError("sweep collapsed the state to zero norm")
             tensors.append((payload / norm).reshape(bond, d, 1))
     return MatrixProductState(ds.length, d, tuple(tensors), ds.alphabet)
@@ -493,13 +448,29 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
     return lines
 
 
-def draw_even_subset(n: int, count: int, seed: int) -> SequenceDataset:
-    """Draw distinct even-parity bitstrings uniformly, without replacement."""
+def _even_space(n: int) -> int:
+    """2**(n-1), the number of even n-bit strings, once n is checked to index them in int64."""
     if not 2 <= n <= 63:
         raise ValueError(
             f"need 2 <= n <= 63, as the 2**(n-1) even strings are indexed in int64; got n={n}"
         )
-    space = 2 ** (n - 1)
+    return 2 ** (n - 1)
+
+
+def even_subset_count(n: int, fraction: float) -> int:
+    """round(fraction * 2**(n-1)) even strings, for a fraction in (0, 1]; n is checked first."""
+    space = _even_space(n)
+    if not 0 < fraction <= 1:
+        raise ValueError(f"fraction {fraction} outside (0, 1]")
+    count = round(fraction * space)
+    if count < 1:
+        raise ValueError(f"fraction {fraction} draws no samples at n={n}")
+    return count
+
+
+def draw_even_subset(n: int, count: int, seed: int) -> SequenceDataset:
+    """Draw distinct even-parity bitstrings uniformly, without replacement."""
+    space = _even_space(n)
     if not 1 <= count <= space:
         raise ValueError(f"count must lie in [1, {space}]")
     rng = np.random.default_rng(seed)
@@ -519,16 +490,12 @@ class ExperimentRow:
 
 
 def _experiment_cell(
-    args: tuple[int, float, int, int, int, float, MatrixProductState]
+    args: tuple[int, float, int, int, int, MatrixProductState]
 ) -> ExperimentRow:
-    n, fraction, replica, seed, chi, tolerance, target = args
-    count = round(fraction * 2 ** (n - 1))
-    if count < 1:
-        raise ValueError(f"fraction {fraction} draws no samples at n={n}")
-    ds = draw_even_subset(n, count, seed)
-    model = train(ds, TrainConfig(chi=chi, tolerance=tolerance))
-    distance = overlap_distance(inner_product(model, target))
-    return ExperimentRow(fraction, replica, seed, count, distance)
+    n, fraction, replica, seed, chi, target = args
+    ds = draw_even_subset(n, even_subset_count(n, fraction), seed)
+    distance = overlap_distance(inner_product(train(ds, TrainConfig(chi=chi)), target))
+    return ExperimentRow(fraction, replica, seed, ds.n_samples, distance)
 
 
 def _max_workers() -> int:
@@ -564,11 +531,10 @@ def run_experiment(
     if replicas < 1:
         raise ValueError("need at least one replica")
     for f in fractions:
-        if not 0 < f <= 1:
-            raise ValueError(f"fraction {f} outside (0, 1]")
+        even_subset_count(n, f)  # a bad fraction fails before any cell runs
     target = parity_target(n)
     tasks = [
-        (n, f, r, base_seed + r, cfg.chi, cfg.tolerance, target)
+        (n, f, r, base_seed + r, cfg.chi, target)
         for f in fractions
         for r in range(replicas)
     ]

@@ -276,6 +276,24 @@ class TestParity:
         assert result.exit_code == 1
         assert "int64" in result.output
 
+    def test_train_checks_the_int64_bound_before_counting(self, runner, tmp_path):
+        # 0.5 * 2**1999 overflows a float: the length check must come first
+        model = str(tmp_path / "m.json")
+        args = ["parity", "train", "--n", "2000", "--fraction", "0.5", "--model", model]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "int64" in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_train_rejects_n_with_data(self, runner, tmp_path):
+        data, model = tmp_path / "bits.txt", tmp_path / "m.json"
+        data.write_text("0110\n1010\n0000\n")
+        args = ["parity", "train", "--data", str(data), "--n", "12", "--model", str(model)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "--n" in result.output
+        assert not model.exists()
+
     def test_eval_rejects_bad_model(self, runner, tmp_path):
         bad = tmp_path / "m.json"
         bad.write_text('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": []}')

@@ -9,7 +9,7 @@ import pytest
 from qdensity import mps
 from qdensity.empirical import EmpiricalGraph, SequenceDataset, cut_counts, empirical_distribution
 from qdensity.entailment import CorpusState, PatternUnobservedError, pattern_density
-from qdensity.qprob import Alphabet
+from qdensity.qprob import MAX_PRODUCT_DIM, Alphabet
 
 from conftest import BITS, random_dataset
 
@@ -30,6 +30,9 @@ def labels(tuples) -> tuple[str, ...]:
 
 
 def random_cases(seed: int, count: int):
+    """count datasets over 1-5 symbols, then count // 4 over 20-39 symbols: a
+    few dozen rows drawn from a smaller pool, so that cut_counts ranks columns
+    by presence table and by sort on both sides of the cut."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         ds = random_dataset(
@@ -39,6 +42,12 @@ def random_cases(seed: int, count: int):
             n_samples=int(rng.integers(1, 80)),
         )
         yield rng, ds, int(rng.integers(1, ds.length))
+    for _ in range(count // 4):
+        d, length = int(rng.integers(20, 40)), int(rng.integers(2, 7))
+        pool = rng.integers(d, size=(int(rng.integers(2, 30)), length))
+        codes = pool[rng.integers(len(pool), size=int(rng.integers(20, 60)))]
+        ds = SequenceDataset.from_codes(Alphabet(tuple(f"w{i}" for i in range(d))), codes)
+        yield rng, ds, int(rng.integers(1, length))
 
 
 class TestSplitMatchesCounterOracle:
@@ -53,6 +62,8 @@ class TestSplitMatchesCounterOracle:
     def test_full_prefix_basis(self):
         for _, ds, cut in random_cases(62, 40):
             prefixes, suffixes, table = counter_oracle(ds, cut)
+            if len(ds.alphabet) ** cut * len(suffixes) > MAX_PRODUCT_DIM:
+                continue  # only wide alphabets past cut 2 pad beyond the supported table
             observed = dict(zip(labels(prefixes), table / ds.n_samples))
             pi = empirical_distribution(ds, cut, full_prefix_basis=True)
             full = labels(itertools.product(ds.alphabet, repeat=cut))

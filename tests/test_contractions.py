@@ -94,6 +94,52 @@ class TestSampleOracle:
         assert {s[-1] for s in mps.sample(lopsided, 200, seed=2)} == {"2"}
 
 
+def left_canonical_model(n: int, d: int, chi: int, scale: float, seed: int) -> MatrixProductState:
+    """Random isometries, so every right environment has trace scale**2, and
+    a last tensor of norm scale. A chain's unrescaled weights are about
+    scale**2 times its prefix's probability."""
+    rng = np.random.default_rng(seed)
+    bonds = [1, d] + [chi] * (n - 2) + [1]
+    tensors = [np.eye(d).reshape(1, d, d)]
+    for k in range(1, n - 1):
+        q, _ = np.linalg.qr(rng.standard_normal((bonds[k] * d, bonds[k + 1])))
+        tensors.append(q.reshape(bonds[k], d, bonds[k + 1]))
+    last = rng.standard_normal(chi * d)
+    tensors.append((scale * last / np.linalg.norm(last)).reshape(chi, d, 1))
+    return MatrixProductState(n, d, tuple(tensors))
+
+
+class TestSampleRounding:
+    def test_weights_rounded_below_zero_draw_as_zero(self):
+        # symbol 1's weight at site 1 is v @ E @ v, v = (1, -1), with E the
+        # rounded outer product of h = (a, b), a and b five ulps apart: exactly
+        # (a - b)**2, about 1.2e-30, but every difference in it is exact, so the
+        # computed value is fl(a*a) - 2 fl(a*b) + fl(b*b) = -2.2e-16 on any
+        # IEEE machine; clipped, it draws as the zero weight it rounds from
+        a = 1.1
+        b = float(np.nextafter(a, 2))
+        for _ in range(4):
+            b = float(np.nextafter(b, 2))
+        assert (a * a - a * b) - (a * b - b * b) < 0
+        first, last = np.eye(2).reshape(1, 2, 2), np.zeros((2, 2, 1))
+        last[:, 0, 0] = a, b
+        middle = np.zeros((2, 2, 2))
+        middle[1, 0] = 1.0, -1.0
+        rounded = MatrixProductState(3, 2, (first, middle, last))
+        removed = MatrixProductState(3, 2, (first, np.zeros((2, 2, 2)), last))
+        assert mps.sample(rounded, 50, seed=4) == mps.sample(removed, 50, seed=4) == ["000"] * 50
+
+    @pytest.mark.parametrize("n, d, chi", [(300, 2, 2), (200, 3, 3)])
+    def test_draws_do_not_depend_on_the_model_scale(self, n, d, chi):
+        # scaled by 2**-480, a chain's unrescaled weights fall below the
+        # smallest double 80 to 180 sites in, while the environments, about
+        # 2**-960, stay normal; power-of-two scales leave every rescaled
+        # quantity exact, so the draws are those at scale 1
+        drawn = mps.sample(left_canonical_model(n, d, chi, 1.0, seed=5), 100, seed=3)
+        for scale in (2.0**-480, 2.0**480):
+            assert mps.sample(left_canonical_model(n, d, chi, scale, seed=5), 100, seed=3) == drawn
+
+
 class TestBornOracle:
     def test_trained_models_match_the_table(self):
         for m in small(trained_models()):

@@ -364,6 +364,17 @@ class TestDrawEvenSubset:
         with pytest.raises(ValueError, match="int64"):
             mps.draw_even_subset(64, 5, seed=0)
 
+    def test_subset_count(self):
+        assert mps.even_subset_count(16, 0.025) == 819
+        assert mps.even_subset_count(5, 1.0) == 16
+        with pytest.raises(ValueError, match="int64"):
+            mps.even_subset_count(2000, 0.5)
+        for fraction in (0.0, 1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                mps.even_subset_count(8, fraction)
+        with pytest.raises(ValueError, match="draws no samples"):
+            mps.even_subset_count(8, 0.001)
+
 
 class TestRunExperiment:
     def test_full_fraction_is_exact(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qdensity import mps
+from qdensity import empirical, mps
 from qdensity.cli import main
 from qdensity.empirical import SequenceDataset, parse_dataset
 from qdensity.mps import TrainConfig
@@ -86,7 +86,7 @@ def rank_cases():
 def test_suffix_ranks_match_row_unique():
     for codes in rank_cases():
         n = codes.shape[1]
-        ranks = mps._suffix_ranks(codes)
+        ranks = empirical._suffix_ranks(codes)
         assert ranks.shape == (n, len(codes))
         for k in range(n):
             _, inverse = np.unique(codes[:, k:], axis=0, return_inverse=True)
@@ -101,14 +101,14 @@ def test_dense_ranks_match_unique_on_both_sides_of_the_table_bound(extra):
         span = 2 * size + extra
         for keys in (rng.integers(span, size=size), np.full(size, span - 1), np.arange(size) * 2 + extra):
             distinct, inverse = np.unique(keys, return_inverse=True)
-            ranks, count = mps._dense_ranks(keys, span)
+            ranks, count = empirical._dense_ranks(keys, span)
             assert np.array_equal(ranks, inverse.reshape(-1))
             assert count == len(distinct)
 
 
 def test_dense_ranks_never_tabulate_a_wide_span():
     # a presence table over 10**12 keys cannot be allocated, so this returns at once only by sorting
-    ranks, count = mps._dense_ranks(np.array([5, 10**12 - 1, 5]), 10**12)
+    ranks, count = empirical._dense_ranks(np.array([5, 10**12 - 1, 5]), 10**12)
     assert ranks.tolist() == [0, 1, 0]
     assert count == 2
 
@@ -121,7 +121,7 @@ def test_sample_arrays_are_the_distinct_rows():
         distinct, counts = np.unique(ds.codes, axis=0, return_counts=True)
         assert np.array_equal(ds.codes[rows], distinct)
         assert np.array_equal(weights, np.sqrt(counts / ds.n_samples))
-        assert np.array_equal(ranks, mps._suffix_ranks(ds.codes))
+        assert np.array_equal(ranks, empirical._suffix_ranks(ds.codes))
 
 
 class TestAlphabet:
