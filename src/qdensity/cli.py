@@ -42,21 +42,24 @@ def _read_order_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(lines[0].split()), tuple(lines[1].split())
 
 
-def _load_distribution_csv(path, order) -> JointDistribution:
+def _csv_rows(path, header: str):
+    """(line number, stripped cells) of every nonblank line after the checked header."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != DIST_HEADER:
-        raise _fail(f"{path}: line 1: expected header {DIST_HEADER!r}")
-    entries: dict[tuple[str, str], float] = {}
+    if not lines or lines[0].strip() != header:
+        raise _fail(f"{path}: line 1: expected header {header!r}")
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
-        if not line:
-            continue
-        cells = line.split(",")
+        if line:
+            yield lineno, [c.strip() for c in line.split(",")]
+
+
+def _load_distribution_csv(path, order) -> JointDistribution:
+    entries: dict[tuple[str, str], float] = {}
+    for lineno, cells in _csv_rows(path, DIST_HEADER):
         if len(cells) != 3:
             raise _fail(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
         x, y, p_str = cells
-        x, y, p_str = x.strip(), y.strip(), p_str.strip()
         try:
             p = float(p_str)
         except ValueError:
@@ -68,23 +71,22 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         entries[(x, y)] = p
     if not entries:
         raise _fail(f"{path}: no probability rows")
-    x_order = dict.fromkeys(x for x, _ in entries)
-    y_order = dict.fromkeys(y for _, y in entries)
+    x_alpha, x_codes = Alphabet.first_appearance(x for x, _ in entries)
+    y_alpha, y_codes = Alphabet.first_appearance(y for _, y in entries)
     if order is not None:
         xs, ys = _read_order_file(order)
-        missing = set(x_order) - set(xs) | set(y_order) - set(ys)
+        missing = set(x_alpha) - set(xs) | set(y_alpha) - set(ys)
         if missing:
             raise _fail(f"ordering file omits symbols: {sorted(missing)}")
-        x_syms, y_syms = xs, ys
-    else:
-        x_syms, y_syms = tuple(x_order), tuple(y_order)
-    try:
-        x_alpha, y_alpha = Alphabet(x_syms), Alphabet(y_syms)
-    except ValueError as exc:
-        raise _fail(str(exc))
-    table = np.zeros((len(x_syms), len(y_syms)))
-    for (x, y), p in entries.items():
-        table[x_alpha.index(x), y_alpha.index(y)] = p
+        try:
+            x_order, y_order = Alphabet(xs), Alphabet(ys)
+        except ValueError as exc:
+            raise _fail(str(exc))
+        x_codes = np.array([x_order.index(s) for s in x_alpha])[x_codes]
+        y_codes = np.array([y_order.index(s) for s in y_alpha])[y_codes]
+        x_alpha, y_alpha = x_order, y_order
+    table = np.zeros((len(x_alpha), len(y_alpha)))
+    table[x_codes, y_codes] = list(entries.values())
     total = float(table.sum())
     if abs(total - 1.0) > 1e-9:
         raise _fail(f"{path}: probabilities sum to {format_float(total)}, expected 1")
@@ -149,23 +151,15 @@ def cmd_reduce(input_path, cut, order, out):
         "entropies": {
             "von_neumann_x": qprob.von_neumann_entropy(rho_x),
             "von_neumann_y": qprob.von_neumann_entropy(rho_y),
-            "entanglement": qprob.entanglement_entropy(psi),
+            "entanglement": qprob.shannon_entropy(sd.coefficients**2),
         },
     }
     _emit(dumps(result), out)
 
 
 def _load_relation_csv(path) -> fca.Relation:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != RELATION_HEADER:
-        raise _fail(f"{path}: line 1: expected header {RELATION_HEADER!r}")
     pairs = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
+    for lineno, cells in _csv_rows(path, RELATION_HEADER):
         if len(cells) != 2 or not all(cells):
             raise _fail(f"{path}: line {lineno}: expected two symbols")
         pairs.append((cells[0], cells[1]))
@@ -307,6 +301,9 @@ def parity_train(n, fraction, data, chi, seed, model_path):
         model = mps.train(ds, mps.TrainConfig(chi=chi))
     except ValueError as exc:
         raise _fail(str(exc))
+    except MemoryError:
+        what = data or f"a draw of {mps.even_subset_count(n, fraction)} samples"
+        raise _fail(f"training on {what} does not fit in memory")
     mps.save_model(model, model_path)
     click.echo(f"model written to {model_path}", err=True)
 
@@ -368,6 +365,9 @@ def parity_experiment(n, fractions, replicas, seed, chi, out):
         rows = mps.run_experiment(n, fracs, replicas, seed, mps.TrainConfig(chi=chi))
     except ValueError as exc:
         raise _fail(str(exc))
+    except MemoryError:
+        largest = mps.even_subset_count(n, max(fracs))
+        raise _fail(f"draws of up to {largest} samples do not fit in memory")
     lines = ["fraction,replica,seed,n_samples,bhattacharyya"]
     for row in rows:
         lines.append(

@@ -114,8 +114,8 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
 
     A line without spaces and longer than one character is read as a
     contiguous bitstring-style sample, one token per character. If no
-    alphabet is given it is inferred: ('0', '1') when every token is a bit,
-    otherwise tokens in first-appearance order.
+    alphabet is given, Alphabet.first_appearance codes the tokens; when every
+    token is a bit, the codes are remapped onto ('0', '1').
     """
     samples: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -123,7 +123,7 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
         if not line:
             continue
         tokens = line_tokens(line)
-        if any(not t for t in tokens):
+        if "" in tokens:
             raise ValueError(f"line {lineno}: malformed sample {raw!r}")
         samples.append(tokens)
     if not samples:
@@ -131,15 +131,17 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
     lengths = {len(s) for s in samples}
     if len(lengths) != 1:
         raise ValueError(f"samples have mixed lengths {sorted(lengths)}")
-    if alphabet is None:
-        seen = tuple(dict.fromkeys(itertools.chain.from_iterable(samples)))
-        alphabet = Alphabet(("0", "1") if set(seen) <= {"0", "1"} else seen)
-    return SequenceDataset(alphabet, lengths.pop(), samples)
+    if alphabet is not None:
+        return SequenceDataset(alphabet, lengths.pop(), samples)
+    alphabet, codes = Alphabet.first_appearance(itertools.chain.from_iterable(samples))
+    if set(alphabet) <= {"0", "1"}:
+        alphabet, codes = Alphabet(("0", "1")), np.array([int(t) for t in alphabet])[codes]
+    return SequenceDataset.from_codes(alphabet, codes.reshape(len(samples), -1))
 
 
-def load_dataset(path, alphabet: Alphabet | None = None) -> SequenceDataset:
+def load_dataset(path) -> SequenceDataset:
     with open(path, encoding="utf-8") as fh:
-        return parse_dataset(fh, alphabet)
+        return parse_dataset(fh)
 
 
 def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:

@@ -56,21 +56,13 @@ class Relation:
         object.__setattr__(self, "incidence", table)
 
     @classmethod
-    def from_pairs(
-        cls,
-        pairs: Iterable[tuple[str, str]],
-        x_alphabet: Alphabet | None = None,
-        y_alphabet: Alphabet | None = None,
-    ) -> "Relation":
+    def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Relation":
         """Build from related pairs, inferring alphabets in first-appearance order."""
         pairs = list(pairs)
-        if x_alphabet is None:
-            x_alphabet = Alphabet(tuple(dict.fromkeys(x for x, _ in pairs)))
-        if y_alphabet is None:
-            y_alphabet = Alphabet(tuple(dict.fromkeys(y for _, y in pairs)))
+        x_alphabet, x_codes = Alphabet.first_appearance(x for x, _ in pairs)
+        y_alphabet, y_codes = Alphabet.first_appearance(y for _, y in pairs)
         table = np.zeros((len(x_alphabet), len(y_alphabet)), dtype=bool)
-        for x, y in pairs:
-            table[x_alphabet.index(x), y_alphabet.index(y)] = True
+        table[x_codes, y_codes] = True
         return cls(x_alphabet, y_alphabet, table)
 
     @property

@@ -78,23 +78,23 @@ def _column_signs(vectors: np.ndarray) -> np.ndarray:
     return np.where(lead < -_SIGN_EPS, -1.0, 1.0)
 
 
-def _tie_order(values: np.ndarray, key_vectors: np.ndarray) -> list[int]:
-    """Order for descending values; ties sorted by vector coordinates, greatest first.
+def _tie_sorted(values: np.ndarray, key_vectors: np.ndarray, *paired: np.ndarray) -> tuple:
+    """Descending values, then key_vectors and each paired matrix, with tied columns reordered.
 
-    Values whose adjacent gap is below _TIE_TOL form one tie group.
+    Values whose adjacent gap is below _TIE_TOL form one tie group, sorted
+    by the key vectors' coordinates, greatest first. Without a tie nothing moves.
     """
-    order = list(range(len(values)))
-    start = 0
+    gaps = values[:-1] - values[1:]
+    if not np.any(gaps <= _TIE_TOL):
+        return (values, key_vectors, *paired)
+    order, start = list(range(len(values))), 0
     for end in range(1, len(values) + 1):
-        if end == len(values) or values[end - 1] - values[end] > _TIE_TOL:
+        if end == len(values) or gaps[end - 1] > _TIE_TOL:
             if end - start > 1:
-                order[start:end] = sorted(
-                    order[start:end],
-                    key=lambda j: tuple(key_vectors[:, j]),
-                    reverse=True,
-                )
+                group = order[start:end]
+                order[start:end] = sorted(group, key=lambda j: tuple(key_vectors[:, j]), reverse=True)
             start = end
-    return order
+    return (values[order], key_vectors[:, order], *(c[:, order] for c in paired))
 
 
 def sym_eigen(m) -> SymEigen:
@@ -107,10 +107,7 @@ def sym_eigen(m) -> SymEigen:
     _require_symmetric(a)
     w, v = np.linalg.eigh(a)
     w, v = w[::-1], v[:, ::-1]  # eigh is ascending
-    v = v * _column_signs(v)
-    if np.any(w[:-1] - w[1:] <= _TIE_TOL):
-        order = _tie_order(w, v)
-        w, v = w[order], v[:, order]
+    w, v = _tie_sorted(w, v * _column_signs(v))
     return SymEigen(np.ascontiguousarray(w), np.ascontiguousarray(v))
 
 
@@ -124,13 +121,8 @@ def svd(m) -> Svd:
     a = _as_matrix(m)
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     signs = _column_signs(vt.T)
-    u, v = u * signs, vt.T * signs
-    order = _tie_order(s, v)
-    return Svd(
-        np.ascontiguousarray(u[:, order]),
-        s[order],
-        np.ascontiguousarray(v[:, order]),
-    )
+    s, v, u = _tie_sorted(s, vt.T * signs, u * signs)
+    return Svd(np.ascontiguousarray(u), s, np.ascontiguousarray(v))
 
 
 def is_psd(m, tol: float) -> bool:

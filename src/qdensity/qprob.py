@@ -15,7 +15,9 @@ order into the matrix M with M[a, i] = amplitude(x_i, y_a).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +40,7 @@ __all__ = [
     "marginalize",
     "schmidt",
     "reconstruct_state",
+    "shannon_entropy",
     "von_neumann_entropy",
     "entanglement_entropy",
 ]
@@ -86,6 +89,14 @@ class Alphabet:
             return self.positions[symbol]
         except KeyError:
             raise ValueError(f"{symbol!r} is not in the alphabet") from None
+
+    @classmethod
+    def first_appearance(cls, tokens: Iterable[str]) -> tuple["Alphabet", np.ndarray]:
+        """The tokens' alphabet in first-appearance order, and each token's int64 code."""
+        positions: defaultdict[str, int] = defaultdict()
+        positions.default_factory = positions.__len__  # a new token's code: the count before it
+        codes = np.fromiter(map(positions.__getitem__, tokens), dtype=np.int64)
+        return cls(tuple(positions)), codes
 
 
 @dataclass(frozen=True)
@@ -343,11 +354,15 @@ def reconstruct_state(sd: SchmidtData) -> PureState:
     return PureState(sd.x_alphabet, sd.y_alphabet, m.T)
 
 
+def shannon_entropy(weights: np.ndarray) -> float:
+    """-sum w ln w over the weights above ENTROPY_CUTOFF."""
+    w = weights[weights > ENTROPY_CUTOFF]
+    return float(-(w * np.log(w)).sum())
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Shannon entropy of the density's eigenvalue distribution."""
-    w = linalg.sym_eigen(rho.matrix).eigenvalues
-    w = w[w > ENTROPY_CUTOFF]
-    return float(-(w * np.log(w)).sum())
+    return shannon_entropy(linalg.sym_eigen(rho.matrix).eigenvalues)
 
 
 def entanglement_entropy(psi: PureState) -> float:
@@ -355,6 +370,4 @@ def entanglement_entropy(psi: PureState) -> float:
 
     Zero exactly when the state is a product (Schmidt rank one).
     """
-    sq = schmidt(psi).coefficients ** 2
-    sq = sq[sq > ENTROPY_CUTOFF]
-    return float(-(sq * np.log(sq)).sum())
+    return shannon_entropy(schmidt(psi).coefficients ** 2)

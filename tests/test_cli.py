@@ -1,10 +1,18 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qdensity.cli import main
+import qdensity
+from qdensity import linalg
+from qdensity.cli import _load_distribution_csv, main
 
 from conftest import FIVE_EDGE_LINES
 
@@ -73,6 +81,17 @@ class TestReduce:
         payload = json.loads(invoke(runner, ["reduce", str(csv), "--order", str(order)]).output)
         assert payload["x_alphabet"] == ["a", "b"]
 
+    def test_order_file_places_every_probability(self, runner, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_text("x,y,p\nb,u,0.6\na,v,0.3\nb,v,0.1\n")
+        order = tmp_path / "order.txt"
+        order.write_text("a c b\nv u\n")
+        payload = json.loads(invoke(runner, ["reduce", str(csv), "--order", str(order)]).output)
+        assert payload["x_alphabet"] == ["a", "c", "b"] and payload["y_alphabet"] == ["v", "u"]
+        assert np.allclose(payload["marginal_x"], [0.3, 0.0, 0.7])
+        assert np.allclose(payload["marginal_y"], [0.4, 0.6])
+        assert np.allclose(np.diag(payload["rho_x"]), [0.3, 0.0, 0.7])
+
     def test_order_rejected_on_dataset(self, runner, tmp_path):
         data = tmp_path / "data.txt"
         data.write_text("a u\nb v\n")
@@ -87,12 +106,61 @@ class TestReduce:
         assert result.exit_code == 1
         assert "--cut" in result.output
 
+    def test_one_svd(self, runner, three_phrase_csv, monkeypatch):
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda m: calls.append(m) or svd(m))
+        payload = json.loads(invoke(runner, ["reduce", str(three_phrase_csv)]).output)
+        assert len(calls) == 1
+        assert np.isclose(payload["entropies"]["entanglement"], np.log(3) - 2 / 3 * np.log(2))
+
     def test_byte_identical_reruns(self, runner, three_phrase_csv, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
         invoke(runner, ["reduce", str(three_phrase_csv), "-o", str(out1)])
         invoke(runner, ["reduce", str(three_phrase_csv), "-o", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestDistributionCsvErrors:
+    @pytest.mark.parametrize(
+        "text, order, message",
+        [
+            ("x,y,p\na,u,0.5\n\nb,v\n", None, "line 4: expected 3 fields, got 2"),
+            ("x,y,p\na,u,half\n", None, "line 2: bad probability 'half'"),
+            ("x,y,p\na,u,-0.5\nb,v,1.5\n", None, "line 2: negative probability -0.5"),
+            ("x,y,p\na,u,0.5\n a , u ,0.5\n", None, "line 3: duplicate pair (a, u)"),
+            ("x,y,p\n\n  \n", None, "no probability rows"),
+            ("x,y,p\na,u,0.5\nb,v,0.4\n", None, "probabilities sum to 0.9"),
+            ("x,y,p\na,u,0.5\nb,v,0.5\n", "a\nu v\n", "ordering file omits symbols: ['b']"),
+            ("x,y,p\na,u,0.5\nb,v,0.5\n", "a b a\nu v\n", "alphabet symbols must be distinct"),
+            # two bad lines: the first is reported
+            ("x,y,p\na,u,x\nb,v\n", None, "line 2: bad probability 'x'"),
+            ("x,y,p\na,u,0.5\na,u,0.5\nb,v,-1\n", None, "line 3: duplicate pair (a, u)"),
+        ],
+    )
+    def test_message_and_exit_code(self, runner, tmp_path, text, order, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        args = ["reduce", str(path)]
+        if order is not None:
+            (tmp_path / "order.txt").write_text(order)
+            args += ["--order", str(tmp_path / "order.txt")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert message in result.output
+        if message.startswith("line"):
+            assert f"{path}: {message}" in result.output
+
+    def test_bad_header(self, tmp_path):
+        # reduce reads a file whose first line is not x,y,p as a dataset, so
+        # the loader's own header check is reached only directly
+        path = tmp_path / "d.csv"
+        path.write_text("x,y,q\na,u,1\n")
+        with pytest.raises(click.ClickException) as err:
+            _load_distribution_csv(path, None)
+        assert err.value.exit_code == 1
+        assert err.value.message == f"{path}: line 1: expected header 'x,y,p'"
 
 
 class TestConcepts:
@@ -117,6 +185,22 @@ class TestConcepts:
         path.write_text("x,y\n")
         result = runner.invoke(main, ["concepts", str(path)])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,z\na,b\n", "line 1: expected header 'x,y'"),
+            ("x,y\na,b\n\nc\n", "line 4: expected two symbols"),
+            ("x,y\na, \n", "line 2: expected two symbols"),
+            ("x,y\n \n\n", "no related pairs"),
+        ],
+    )
+    def test_reader_errors(self, runner, tmp_path, text, message):
+        path = tmp_path / "rel.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["concepts", str(path)])
+        assert result.exit_code == 1
+        assert f"{path}: {message}" in result.output
 
 
 class TestEntail:
@@ -308,3 +392,27 @@ class TestParity:
         result = runner.invoke(main, ["parity", "eval", "--model", str(model)])
         assert result.exit_code != 0
         assert "alphabet" in result.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["train", "--n", "30", "--fraction", "1.0"], "a draw of 536870912 samples"),
+            (["experiment", "--n", "24", "--fractions", "1.0", "--replicas", "1"], "8388608 samples"),
+        ],
+    )
+    def test_out_of_memory_exits_cleanly(self, tmp_path, args, message):
+        # the 1.5 GB address-space limit applies to the child process only
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        src = str(Path(qdensity.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, QDENSITY_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        if args[0] == "train":
+            args = args + ["--model", str(tmp_path / "m.json")]
+        result = subprocess.run(
+            [sys.executable, "-m", "qdensity.cli", "parity", *args],
+            env=env, preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr and "fit in memory" in result.stderr

@@ -43,12 +43,37 @@ class TestParsing:
         assert tuple(ds.alphabet) == ("0", "1")
 
     def test_rejects_mixed_lengths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"mixed lengths \[2, 3\]"):
             parse_dataset(["a b", "a b c"])
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dataset is empty"):
             parse_dataset(["", "  "])
+
+    def test_rejects_malformed_line(self):
+        with pytest.raises(ValueError, match="line 3: malformed sample 'a  b'"):
+            parse_dataset(["a b", "", "a  b", "a b c"])
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", ["words", "bits", "bits from 1", "ones"])
+    def test_alphabet_and_codes_match_a_first_appearance_oracle(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(2 if kind == "words" else 1, 6))  # a one-word line reads as characters
+        if kind == "words":
+            vocab = [f"w{i}" for i in range(int(rng.integers(1, 30)))]
+            rows = [[vocab[j] for j in rng.zipf(1.5, length) % len(vocab)] for _ in range(40)]
+        else:
+            rows = rng.integers(2, size=(40, length)).astype(str).tolist()
+            if kind == "bits from 1":
+                rows[0][0] = "1"
+            elif kind == "ones":
+                rows = [["1"] * length for _ in rows]
+        lines = [" ".join(r) if kind == "words" or seed % 2 else "".join(r) for r in rows]
+        seen = tuple(dict.fromkeys(t for r in rows for t in r))
+        symbols = ("0", "1") if set(seen) <= {"0", "1"} else seen
+        ds = parse_dataset(line + "\n" for line in lines)
+        assert tuple(ds.alphabet) == symbols
+        assert ds.codes.tolist() == [[symbols.index(t) for t in r] for r in rows]
 
 
 class TestEmpiricalDistribution:

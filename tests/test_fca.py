@@ -35,6 +35,14 @@ def relation(table):
     )
 
 
+class TestFromPairs:
+    def test_generator_gives_the_same_relation(self):
+        r = fca.Relation.from_pairs(pair for pair in FOUR_EDGE + FOUR_EDGE[:1])
+        assert tuple(r.x_alphabet) == ("orange", "green", "purple")
+        assert tuple(r.y_alphabet) == ("fruit", "vegetable")
+        assert r.incidence.tolist() == [[True, False], [True, True], [False, True]]
+
+
 class TestGaloisMaps:
     def test_f_shared_attribute(self):
         assert fca.galois_f(three_edge(), {"orange", "green"}) == {"fruit"}

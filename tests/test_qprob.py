@@ -42,6 +42,13 @@ class TestTypes:
             with pytest.raises(ValueError, match="not in the alphabet"):
                 a.index(unknown)
 
+    def test_first_appearance_codes_each_token(self):
+        alphabet, codes = Alphabet.first_appearance(iter(["v", "u", "v", "w", "u"]))
+        assert alphabet == Alphabet(("v", "u", "w"))
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 0, 2, 1]
+        with pytest.raises(ValueError, match="nonempty"):
+            Alphabet.first_appearance(())
+
     def test_alphabet_positions_take_no_part_in_equality(self):
         a, b = Alphabet(("u", "v")), Alphabet(["u", "v"])
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
