@@ -21,7 +21,7 @@ from .entailment import (
     pattern_density,
 )
 from .fca import FormalConcept, Relation, compare_eigen_concepts, formal_concepts, galois_f, galois_g
-from .linalg import Svd, SymEigen, is_psd, reshape_vector_to_matrix, svd, sym_eigen
+from .linalg import Svd, SymEigen, is_psd, svd, sym_eigen
 from .mps import (
     MatrixProductState,
     TrainConfig,

@@ -113,7 +113,8 @@ def cmd_reduce(input_path, cut, order, out):
     """
     with open(input_path, encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first == DIST_HEADER:
+    # without --cut a comma marks a distribution CSV, so a misspelled header is reported
+    if first == DIST_HEADER or cut is None and "," in first:
         if cut is not None:
             raise _fail("--cut applies to dataset input, not to a distribution CSV")
         pi = _load_distribution_csv(input_path, order)
@@ -131,21 +132,16 @@ def cmd_reduce(input_path, cut, order, out):
     rho_x = qprob.reduced_via_gram(psi, "X")
     rho_y = qprob.reduced_via_gram(psi, "Y")
     sd = qprob.schmidt(psi)
-    eigenvalues = [float(c) ** 2 for c in sd.coefficients]
     result = {
         "x_alphabet": list(pi.x_alphabet),
         "y_alphabet": list(pi.y_alphabet),
         "rho_x": rho_x.matrix,
         "rho_y": rho_y.matrix,
-        "eigenvalues": eigenvalues,
+        "eigenvalues": sd.coefficients**2,
         "eigenvectors_x": sd.x_vectors.T,
         "eigenvectors_y": sd.y_vectors.T,
-        "eigenvector_distributions_x": [
-            [float(v) ** 2 for v in sd.x_vectors[:, i]] for i in range(len(eigenvalues))
-        ],
-        "eigenvector_distributions_y": [
-            [float(v) ** 2 for v in sd.y_vectors[:, i]] for i in range(len(eigenvalues))
-        ],
+        "eigenvector_distributions_x": sd.x_vectors.T**2,
+        "eigenvector_distributions_y": sd.y_vectors.T**2,
         "marginal_x": qprob.marginalize(pi, "X"),
         "marginal_y": qprob.marginalize(pi, "Y"),
         "entropies": {

@@ -14,11 +14,10 @@ sweep reads every cut's suffix groups off its ranks.
 
 from __future__ import annotations
 
-import itertools
 import math
+from itertools import chain
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,30 +112,34 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
     """Parse one sample per line; tokens are space separated.
 
     A line without spaces and longer than one character is read as a
-    contiguous bitstring-style sample, one token per character. If no
-    alphabet is given, Alphabet.first_appearance codes the tokens; when every
-    token is a bit, the codes are remapped onto ('0', '1').
+    contiguous bitstring-style sample, one token per character. The tokens
+    stream into Alphabet.first_appearance, and the distinct codes are then
+    remapped onto the given alphabet or, without one and when every token is
+    a bit, onto ('0', '1').
     """
-    samples: list[tuple[str, ...]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line_tokens(line)
-        if "" in tokens:
-            raise ValueError(f"line {lineno}: malformed sample {raw!r}")
-        samples.append(tokens)
-    if not samples:
+    lengths: list[int] = []
+
+    def samples():
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            tokens = line_tokens(line)
+            if "" in tokens:
+                raise ValueError(f"line {lineno}: malformed sample {raw!r}")
+            lengths.append(len(tokens))
+            yield tokens
+
+    rows = samples()
+    if (first := next(rows, None)) is None:
         raise ValueError("dataset is empty")
-    lengths = {len(s) for s in samples}
-    if len(lengths) != 1:
-        raise ValueError(f"samples have mixed lengths {sorted(lengths)}")
-    if alphabet is not None:
-        return SequenceDataset(alphabet, lengths.pop(), samples)
-    alphabet, codes = Alphabet.first_appearance(itertools.chain.from_iterable(samples))
-    if set(alphabet) <= {"0", "1"}:
-        alphabet, codes = Alphabet(("0", "1")), np.array([int(t) for t in alphabet])[codes]
-    return SequenceDataset.from_codes(alphabet, codes.reshape(len(samples), -1))
+    seen, codes = Alphabet.first_appearance(chain(first, chain.from_iterable(rows)))
+    if len(set(lengths)) != 1:
+        raise ValueError(f"samples have mixed lengths {sorted(set(lengths))}")
+    if alphabet is None:
+        alphabet = Alphabet(("0", "1")) if set(seen) <= {"0", "1"} else seen
+    remap = np.array([alphabet.index(t) for t in seen], dtype=np.int64)
+    return SequenceDataset.from_codes(alphabet, remap[codes].reshape(len(lengths), -1))
 
 
 def load_dataset(path) -> SequenceDataset:
@@ -234,23 +237,27 @@ def empirical_distribution(
     return JointDistribution(_labels(ds.alphabet, prefixes), _labels(ds.alphabet, suffixes), table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalGraph:
-    """Bipartite prefix/suffix multigraph with edge multiplicities."""
+    """Bipartite prefix/suffix multigraph: counts[i, j] edges join prefixes[i] and suffixes[j]."""
 
     prefixes: tuple[tuple[str, ...], ...]
     suffixes: tuple[tuple[str, ...], ...]
-    edge_counts: Mapping[tuple[tuple[str, ...], tuple[str, ...]], int]
-    total_edges: int
+    counts: np.ndarray
 
     def __post_init__(self):
-        if self.total_edges != sum(self.edge_counts.values()):
-            raise ValueError("total_edges does not match the sum of edge counts")
-        pset, sset = set(self.prefixes), set(self.suffixes)
-        for p, s in self.edge_counts:
-            if p not in pset or s not in sset:
-                raise ValueError(f"edge ({p!r}, {s!r}) uses an unknown vertex")
-        object.__setattr__(self, "edge_counts", MappingProxyType(dict(self.edge_counts)))
+        counts = np.asarray(self.counts)
+        if counts.shape != (len(self.prefixes), len(self.suffixes)):
+            raise ValueError(f"count matrix shape {counts.shape} does not match the vertices")
+        if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
+            raise ValueError("edge counts must be nonnegative integers")
+        counts = counts.astype(np.int64)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def total_edges(self) -> int:
+        return int(self.counts.sum())
 
     @classmethod
     def from_dataset(
@@ -259,26 +266,20 @@ class EmpiricalGraph:
         cut: int,
         prefix_order: Iterable[tuple[str, ...]] | None = None,
     ) -> "EmpiricalGraph":
+        """Graph at the cut; prefix_order, naming every observed prefix once, orders the rows."""
         prefix_codes, suffix_codes, counts = cut_counts(ds, cut)
         prefixes = _decode(ds.alphabet, prefix_codes)
-        suffixes = _decode(ds.alphabet, suffix_codes)
-        nonzero = zip(*np.nonzero(counts))
-        edges = {(prefixes[i], suffixes[j]): int(counts[i, j]) for i, j in nonzero}
         if prefix_order is not None:
             order = tuple(tuple(p) for p in prefix_order)
-            if not set(prefixes).issubset(order):
+            rows = {p: i for i, p in enumerate(order)}
+            if len(rows) != len(order):
+                raise ValueError("prefix_order repeats a prefix")
+            if not rows.keys() >= set(prefixes):
                 raise ValueError("prefix_order does not cover all observed prefixes")
-            prefixes = order
-        return cls(prefixes, suffixes, edges, ds.n_samples)
-
-    def count_matrix(self) -> np.ndarray:
-        """Edge multiplicities as a prefixes x suffixes integer table."""
-        table = np.zeros((len(self.prefixes), len(self.suffixes)))
-        pidx = {p: i for i, p in enumerate(self.prefixes)}
-        sidx = {s: i for i, s in enumerate(self.suffixes)}
-        for (p, s), c in self.edge_counts.items():
-            table[pidx[p], sidx[s]] = c
-        return table
+            padded = np.zeros((len(order), counts.shape[1]), dtype=counts.dtype)
+            padded[[rows[p] for p in prefixes]] = counts
+            prefixes, counts = order, padded
+        return cls(prefixes, _decode(ds.alphabet, suffix_codes), counts)
 
 
 def graph_reduced_density(g: EmpiricalGraph, keep: str) -> DensityMatrix:
@@ -291,14 +292,15 @@ def graph_reduced_density(g: EmpiricalGraph, keep: str) -> DensityMatrix:
     """
     if keep not in ("prefix", "suffix"):
         raise ValueError(f"keep must be 'prefix' or 'suffix', got {keep!r}")
-    if g.total_edges <= 0:
+    total = g.total_edges
+    if total <= 0:
         raise ValueError("graph has no edges")
-    adj = np.sqrt(g.count_matrix())
+    adj = np.sqrt(g.counts)
     if keep == "prefix":
-        mat = adj @ adj.T / g.total_edges
+        mat = adj @ adj.T / total
         basis = Alphabet(tuple(" ".join(p) for p in g.prefixes))
     else:
-        mat = adj.T @ adj / g.total_edges
+        mat = adj.T @ adj / total
         basis = Alphabet(tuple(" ".join(s) for s in g.suffixes))
     return DensityMatrix(basis, mat)
 
@@ -330,7 +332,7 @@ def summarizer_angles(g: EmpiricalGraph) -> tuple[float, float]:
         raise ValueError(
             "summarizer angles require the parity prefix basis (00, 11, 01, 10)"
         )
-    adj = np.sqrt(g.count_matrix())
+    adj = np.sqrt(g.counts)
     gram = adj @ adj.T
     d1, d2, s_e = gram[0, 0], gram[1, 1], gram[0, 1]
     d3, d4, s_o = gram[2, 2], gram[3, 3], gram[2, 3]

@@ -103,28 +103,29 @@ class EntailmentDensity:
         object.__setattr__(self, "matrix", mat)
 
 
-def _normalize_pattern(cs: CorpusState, pattern: Mapping[int, str]) -> tuple[tuple[int, str], ...]:
+def _match(
+    cs: CorpusState, pattern: Mapping[int, str]
+) -> tuple[tuple[tuple[int, str], ...], np.ndarray]:
+    """The pattern's sorted (position, token) items and the observed prefixes matching them.
+
+    Raises PatternUnobservedError when no observed prefix matches.
+    """
     if not pattern:
         raise ValueError("pattern must assign at least one position")
-    items = []
-    for pos, token in sorted(pattern.items()):
-        if not 1 <= pos <= cs.cut:
-            raise ValueError(
-                f"pattern position {pos} outside the prefix range 1..{cs.cut}"
-            )
-        items.append((int(pos), str(token)))
-    return tuple(items)
-
-
-def _matching_indices(cs: CorpusState, items: tuple[tuple[int, str], ...]) -> np.ndarray:
+    items = tuple((int(pos), str(token)) for pos, token in sorted(pattern.items()))
     mask = np.ones(len(cs.prefix_codes), dtype=bool)
     for pos, token in items:
+        if not 1 <= pos <= cs.cut:
+            raise ValueError(f"pattern position {pos} outside the prefix range 1..{cs.cut}")
         try:
             code = cs.dataset.alphabet.index(token)
         except ValueError:
             code = -1  # a foreign token matches nothing
         mask &= cs.prefix_codes[:, pos - 1] == code
-    return np.flatnonzero(mask)
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        raise PatternUnobservedError(f"pattern unobserved: {dict(items)!r}")
+    return items, idx
 
 
 def pattern_density(
@@ -135,10 +136,7 @@ def pattern_density(
     Sums the suffix-space projections of every observed prefix matching
     the pattern; raises PatternUnobservedError when nothing matches.
     """
-    items = _normalize_pattern(cs, pattern)
-    idx = _matching_indices(cs, items)
-    if not idx.size:
-        raise PatternUnobservedError(f"pattern unobserved: {dict(items)!r}")
+    items, idx = _match(cs, pattern)
     cols = cs.columns[:, idx]
     mat = cols @ cols.T
     weight = float(np.trace(mat))
@@ -156,10 +154,7 @@ def decompose(
     the weights sum to one and the weighted sum of the densities equals the
     pattern's normalized density.
     """
-    items = _normalize_pattern(cs, pattern)
-    idx = _matching_indices(cs, items)
-    if not idx.size:
-        raise PatternUnobservedError(f"pattern unobserved: {dict(items)!r}")
+    _, idx = _match(cs, pattern)
     total = cs.prefix_probs[idx].sum()
     out = []
     for i, prefix in zip(idx, _decode(cs.dataset.alphabet, cs.prefix_codes[idx])):

@@ -1,7 +1,6 @@
 """Dense real linear algebra kernel.
 
-Symmetric eigendecomposition, singular value decomposition, PSD testing,
-and the canonical reshape between state vectors and coefficient matrices.
+Symmetric eigendecomposition, singular value decomposition and PSD testing.
 Everything here is deterministic: a fixed sign convention and a fixed
 tie-breaking rule make repeated calls on identical input bit-identical.
 """
@@ -18,8 +17,6 @@ __all__ = [
     "sym_eigen",
     "svd",
     "is_psd",
-    "reshape_vector_to_matrix",
-    "flatten_matrix_to_vector",
 ]
 
 # Below this, a coordinate does not count as the "first nonzero" of a vector.
@@ -132,23 +129,3 @@ def is_psd(m, tol: float) -> bool:
     if a.size == 0:
         return True
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
-
-
-def reshape_vector_to_matrix(v, rows: int, cols: int) -> np.ndarray:
-    """Rearrange a coefficient vector into a rows x cols matrix.
-
-    The vector lists coefficients suffix-major, with the suffix (row)
-    index varying slower, so entry (a, i) of the result is the coefficient
-    of the pair (prefix i, suffix a).
-    """
-    vec = np.asarray(v, dtype=float)
-    if vec.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    if vec.size != rows * cols:
-        raise ValueError(f"vector of length {vec.size} cannot fill {rows}x{cols}")
-    return vec.reshape(rows, cols)
-
-
-def flatten_matrix_to_vector(m) -> np.ndarray:
-    """Inverse of reshape_vector_to_matrix; round-trips exactly."""
-    return _as_matrix(m).reshape(-1)

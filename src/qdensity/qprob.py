@@ -172,9 +172,7 @@ class PureState:
 
     def matrix(self) -> np.ndarray:
         """The |Y| x |X| coefficient matrix M with M[a, i] = amplitude(x_i, y_a)."""
-        return linalg.reshape_vector_to_matrix(
-            self.vector, len(self.y_alphabet), len(self.x_alphabet)
-        )
+        return np.ascontiguousarray(self.amplitudes.T)
 
 
 @dataclass(frozen=True)

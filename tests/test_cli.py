@@ -114,6 +114,38 @@ class TestReduce:
         assert len(calls) == 1
         assert np.isclose(payload["entropies"]["entanglement"], np.log(3) - 2 / 3 * np.log(2))
 
+    def test_misspelled_csv_header_reported(self, runner, tmp_path):
+        path = tmp_path / "dist.csv"
+        path.write_text("x,y,P\na,u,1\n")
+        result = runner.invoke(main, ["reduce", str(path)])
+        assert result.exit_code == 1
+        assert f"{path}: line 1: expected header 'x,y,p'" in result.output
+
+    def test_dataset_without_comma_or_cut_needs_cut(self, runner, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("a b\nc d\n")
+        result = runner.invoke(main, ["reduce", str(path)])
+        assert result.exit_code == 1
+        assert "dataset input needs --cut" in result.output
+
+    def test_comma_is_a_token_with_cut(self, runner, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text("x,y P\na,u 1\n")
+        payload = json.loads(invoke(runner, ["reduce", str(path), "--cut", "1"]).output)
+        assert payload["x_alphabet"] == ["x,y", "a,u"]
+
+    def test_spectra_are_squared_as_arrays(self, runner, tmp_path):
+        rng = np.random.default_rng(29)
+        rows = rng.integers(70, size=(3000, 2))
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(f"p{a} s{b}\n" for a, b in rows))
+        payload = json.loads(invoke(runner, ["reduce", str(path), "--cut", "1"]).output)
+        pi = qdensity.empirical_distribution(qdensity.load_dataset(path), 1)
+        sd = qdensity.schmidt(qdensity.build_state(pi))
+        assert payload["eigenvalues"] == (sd.coefficients * sd.coefficients).tolist()
+        for side, vectors in (("x", sd.x_vectors), ("y", sd.y_vectors)):
+            assert payload[f"eigenvector_distributions_{side}"] == (vectors.T * vectors.T).tolist()
+
     def test_byte_identical_reruns(self, runner, three_phrase_csv, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

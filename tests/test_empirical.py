@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qdensity.empirical import (
     SequenceDataset,
     empirical_distribution,
     graph_reduced_density,
+    load_dataset,
     parity_graph,
     parse_dataset,
     summarizer_angles,
@@ -74,6 +76,50 @@ class TestParsing:
         ds = parse_dataset(line + "\n" for line in lines)
         assert tuple(ds.alphabet) == symbols
         assert ds.codes.tolist() == [[symbols.index(t) for t in r] for r in rows]
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", ["words", "bits"])
+    def test_given_alphabet_codes_match_the_constructor(self, kind, seed):
+        rng = np.random.default_rng(100 + seed)
+        length = int(rng.integers(2, 6))
+        if kind == "words":
+            symbols = [f"w{i}" for i in range(int(rng.integers(2, 30)))]
+        else:
+            symbols = ["0", "1"]
+        used = symbols[: len(symbols) - seed % 2]  # odd seeds leave a symbol unused
+        rows = [[used[j] for j in rng.integers(len(used), size=length)] for _ in range(40)]
+        lines = [" ".join(r) if kind == "words" or seed % 4 > 1 else "".join(r) for r in rows]
+        alphabet = Alphabet(tuple(rng.permutation(symbols + ["spare"]).tolist()))
+        ds = parse_dataset((line + "\n" for line in lines), alphabet)
+        assert ds.alphabet == alphabet
+        assert ds.codes.dtype == np.int64
+        assert np.array_equal(ds.codes, SequenceDataset(alphabet, length, rows).codes)
+
+    def test_given_alphabet_rejects_a_foreign_token(self):
+        with pytest.raises(ValueError, match="'c' is not in the alphabet"):
+            parse_dataset(["a b", "b c"], Alphabet(("a", "b")))
+
+    def test_given_alphabet_checks_lengths_first(self):
+        with pytest.raises(ValueError, match=r"mixed lengths \[2, 3\]"):
+            parse_dataset(["a c", "a b c"], Alphabet(("a", "b")))
+        with pytest.raises(ValueError, match="dataset is empty"):
+            parse_dataset([" "], Alphabet(("a", "b")))
+
+    def test_load_dataset_memory_stays_near_the_codes(self, tmp_path):
+        # 20000 five-word lines: 0.8 MB of int64 codes from a 0.7 MB file
+        rng = np.random.default_rng(12)
+        vocab = [f"word{i}" for i in range(400)]
+        rows = rng.zipf(1.3, size=(20000, 5)) % len(vocab)
+        path = tmp_path / "corpus.txt"
+        path.write_text("".join(" ".join(vocab[j] for j in row) + "\n" for row in rows))
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.codes.shape == (20000, 5)
+        assert peak < 5 * ds.codes.nbytes  # a parse that keeps every line's tokens peaks near 11
 
 
 class TestEmpiricalDistribution:
@@ -157,15 +203,52 @@ class TestGraphReducedDensity:
         assert np.isclose(np.trace(graph_reduced_density(g, "prefix").matrix), 1.0)
         assert np.isclose(np.trace(graph_reduced_density(g, "suffix").matrix), 1.0)
 
-    def test_edge_counts_are_read_only(self):
+    def test_counts_are_read_only(self):
         g = EmpiricalGraph.from_dataset(parse_dataset(FIVE_EDGE_LINES), cut=1)
-        with pytest.raises(TypeError):
-            g.edge_counts[(("x1",), ("y1",))] = 99
+        with pytest.raises(ValueError, match="read-only"):
+            g.counts[0, 0] = 99
+
+    def test_counts_are_copied_from_the_caller(self):
+        table = np.array([[1, 2]])
+        g = EmpiricalGraph((("a",),), (("u",), ("v",)), table)
+        table[0, 0] = 7
+        assert g.counts.tolist() == [[1, 2]] and g.total_edges == 3
 
     def test_edgeless_graph_rejected(self):
-        g = EmpiricalGraph((("a",),), (("b",),), {}, 0)
-        with pytest.raises(ValueError):
+        g = EmpiricalGraph((("a",),), (("b",),), [[0]])
+        assert g.total_edges == 0
+        with pytest.raises(ValueError, match="no edges"):
             graph_reduced_density(g, "prefix")
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[1, 2]], "shape"),
+            ([[1], [2], [3]], "shape"),
+            ([[1.0], [2.0]], "nonnegative integers"),
+            ([[1], [-1]], "nonnegative integers"),
+        ],
+    )
+    def test_rejects_a_bad_count_matrix(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            EmpiricalGraph((("a",), ("b",)), (("u",),), counts)
+
+    def test_prefix_order_pads_and_orders_rows(self):
+        ds = parse_dataset(["0 1 1", "0 1 1", "1 1 0"])
+        order = [("1", "1"), ("0", "0"), ("0", "1"), ("1", "0")]
+        g = EmpiricalGraph.from_dataset(ds, 2, order)
+        assert g.prefixes == tuple(order) and g.suffixes == (("1",), ("0",))
+        assert g.counts.tolist() == [[0, 1], [0, 0], [2, 0], [0, 0]]
+
+    def test_prefix_order_repeating_a_prefix_rejected(self):
+        ds = parse_dataset(["0 1 1", "1 1 0"])
+        with pytest.raises(ValueError, match="repeats a prefix"):
+            EmpiricalGraph.from_dataset(ds, 2, [("0", "1"), ("1", "1"), ("0", "1")])
+
+    def test_prefix_order_missing_a_prefix_rejected(self):
+        ds = parse_dataset(["0 1 1", "1 1 0"])
+        with pytest.raises(ValueError, match="does not cover"):
+            EmpiricalGraph.from_dataset(ds, 2, [("0", "1")])
 
 
 class TestSummarizerAngles:

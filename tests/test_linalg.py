@@ -159,27 +159,6 @@ class TestIsPsd:
             linalg.is_psd([[0.0, 1.0], [0.0, 0.0]], tol=1e-10)
 
 
-class TestReshape:
-    def test_three_pair_state_vector(self):
-        v = np.array([1, 1, 0, 0, 0, 1]) / math.sqrt(3)
-        m = linalg.reshape_vector_to_matrix(v, 2, 3)
-        assert np.allclose(m, np.array([[1, 1, 0], [0, 0, 1]]) / math.sqrt(3))
-
-    def test_single_row(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(linalg.reshape_vector_to_matrix(v, 1, 3), [[1, 2, 3]])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(43)
-        v = rng.standard_normal(12)
-        m = linalg.reshape_vector_to_matrix(v, 3, 4)
-        assert np.array_equal(linalg.flatten_matrix_to_vector(m), v)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.reshape_vector_to_matrix(np.zeros(5), 2, 3)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 6),

@@ -55,6 +55,10 @@ class TestTypes:
         assert a != Alphabet(("v", "u"))
         assert repr(a) == "Alphabet(symbols=('u', 'v'))"
 
+    def test_pure_state_rejects_mismatched_amplitude_table(self):
+        with pytest.raises(ValueError, match="does not match alphabets"):
+            PureState(Alphabet(("a", "b")), Alphabet(("u",)), np.array([[1.0, 0.0]]))
+
     def test_joint_rejects_negative(self):
         with pytest.raises(ValueError):
             JointDistribution(Alphabet(("a",)), Alphabet(("u", "v")), [[1.1, -0.1]])
@@ -93,6 +97,22 @@ class TestTypes:
         for arr in (pi.probs, psi.amplitudes, rho.matrix):
             with pytest.raises(ValueError):
                 arr[0, 0] = 0.5
+
+
+class TestCoefficientMatrix:
+    def test_three_pair_state(self):
+        psi = qprob.build_state(three_phrase_distribution())
+        assert np.allclose(psi.matrix(), np.array([[1, 1, 0], [0, 0, 1]]) / ROOT3)
+
+    def test_one_suffix_state_gives_one_row(self):
+        psi = qprob.build_state(plain_distribution([0.25, 0.75]))
+        assert np.array_equal(psi.matrix(), [[0.5, math.sqrt(0.75)]])
+
+    def test_contiguous_and_flattens_to_the_vector(self):
+        psi = qprob.build_state(random_joint(np.random.default_rng(43), 3, 4))
+        m = psi.matrix()
+        assert m.shape == (4, 3) and m.flags.c_contiguous
+        assert np.array_equal(m.reshape(-1), psi.vector)
 
 
 class TestBuildState:
