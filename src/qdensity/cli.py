@@ -33,10 +33,18 @@ def _emit(text: str, out_path) -> None:
         click.echo(text)
 
 
+def _decoded(path, read):
+    """read(fh) of the file as UTF-8 text; a decoding failure is an error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read(fh)
+    except UnicodeDecodeError as exc:
+        raise _fail(f"{path}: {exc}")
+
+
 def _read_order_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Two lines: space-separated x symbols, then y symbols."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _decoded(path, list) if ln.strip()]
     if len(lines) != 2:
         raise _fail(f"ordering file {path} must have exactly two nonempty lines")
     return tuple(lines[0].split()), tuple(lines[1].split())
@@ -44,8 +52,7 @@ def _read_order_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def _csv_rows(path, header: str):
     """(line number, stripped cells) of every nonblank line after the checked header."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _decoded(path, lambda fh: fh.read().splitlines())
     if not lines or lines[0].strip() != header:
         raise _fail(f"{path}: line 1: expected header {header!r}")
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -82,8 +89,8 @@ def _load_distribution_csv(path, order) -> JointDistribution:
             x_order, y_order = Alphabet(xs), Alphabet(ys)
         except ValueError as exc:
             raise _fail(str(exc))
-        x_codes = np.array([x_order.index(s) for s in x_alpha])[x_codes]
-        y_codes = np.array([y_order.index(s) for s in y_alpha])[y_codes]
+        x_codes = x_order.encode(x_alpha)[x_codes]
+        y_codes = y_order.encode(y_alpha)[y_codes]
         x_alpha, y_alpha = x_order, y_order
     table = np.zeros((len(x_alpha), len(y_alpha)))
     table[x_codes, y_codes] = list(entries.values())
@@ -111,8 +118,7 @@ def cmd_reduce(input_path, cut, order, out):
     INPUT_PATH is either a distribution CSV with header x,y,p or, together
     with --cut, a dataset file with one sample per line.
     """
-    with open(input_path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
+    first = _decoded(input_path, lambda fh: fh.readline().strip())
     # without --cut a comma marks a distribution CSV, so a misspelled header is reported
     if first == DIST_HEADER or cut is None and "," in first:
         if cut is not None:
@@ -317,8 +323,8 @@ def parity_eval(model_path, out):
     """
     try:
         model = mps.load_model(model_path)
-    except (ValueError, KeyError) as exc:
-        raise _fail(f"bad model file: {exc}")
+    except ValueError as exc:
+        raise _fail(str(exc))
     try:
         overlap = mps.inner_product(model, mps.parity_target(model.n))
     except ValueError as exc:
@@ -342,7 +348,7 @@ def parity_sample(model_path, count, seed, out):
     try:
         model = mps.load_model(model_path)
         lines = mps.sample(model, count, seed)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise _fail(str(exc))
     _emit("\n".join(lines), out)
 

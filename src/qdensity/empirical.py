@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qprob import MAX_PRODUCT_DIM, Alphabet, DensityMatrix, JointDistribution
+from .qprob import MAX_PRODUCT_DIM, Alphabet, DensityMatrix, JointDistribution, _readonly
 
 __all__ = [
     "SequenceDataset",
@@ -61,23 +61,18 @@ class SequenceDataset:
     def __init__(self, alphabet: Alphabet, length: int, samples: Iterable[Sequence[str]]):
         if length < 1:
             raise ValueError("sequence length must be positive")
-        positions = alphabet.positions
-        rows = []
-        for s in samples:
-            s = tuple(s)
-            if len(s) != length:
-                raise ValueError(f"sample {s!r} does not have length {length}")
-            try:
-                rows.append([positions[t] for t in s])
-            except KeyError:
-                raise ValueError(f"sample {s!r} uses tokens outside the alphabet") from None
-        self._store(alphabet, np.array(rows, dtype=np.int64).reshape(len(rows), length))
+
+        def checked(sample: Sequence[str]) -> tuple[str, ...]:
+            if len(sample := tuple(sample)) != length:
+                raise ValueError(f"sample {sample!r} does not have length {length}")
+            return sample
+
+        codes = alphabet.encode(chain.from_iterable(map(checked, samples)))
+        self._store(alphabet, codes.reshape(-1, length))
 
     def _store(self, alphabet: Alphabet, codes: np.ndarray) -> None:
-        codes = codes.astype(np.int64)
-        codes.flags.writeable = False
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "codes", _readonly(codes, np.int64))
 
     @classmethod
     def from_codes(cls, alphabet: Alphabet, codes) -> "SequenceDataset":
@@ -138,8 +133,8 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
         raise ValueError(f"samples have mixed lengths {sorted(set(lengths))}")
     if alphabet is None:
         alphabet = Alphabet(("0", "1")) if set(seen) <= {"0", "1"} else seen
-    remap = np.array([alphabet.index(t) for t in seen], dtype=np.int64)
-    return SequenceDataset.from_codes(alphabet, remap[codes].reshape(len(lengths), -1))
+    codes = alphabet.encode(seen)[codes]
+    return SequenceDataset.from_codes(alphabet, codes.reshape(len(lengths), -1))
 
 
 def load_dataset(path) -> SequenceDataset:
@@ -251,9 +246,7 @@ class EmpiricalGraph:
             raise ValueError(f"count matrix shape {counts.shape} does not match the vertices")
         if counts.size and (counts.dtype.kind not in "iu" or counts.min() < 0):
             raise ValueError("edge counts must be nonnegative integers")
-        counts = counts.astype(np.int64)
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _readonly(counts, np.int64))
 
     @property
     def total_edges(self) -> int:
@@ -295,14 +288,10 @@ def graph_reduced_density(g: EmpiricalGraph, keep: str) -> DensityMatrix:
     total = g.total_edges
     if total <= 0:
         raise ValueError("graph has no edges")
-    adj = np.sqrt(g.counts)
-    if keep == "prefix":
-        mat = adj @ adj.T / total
-        basis = Alphabet(tuple(" ".join(p) for p in g.prefixes))
-    else:
-        mat = adj.T @ adj / total
-        basis = Alphabet(tuple(" ".join(s) for s in g.suffixes))
-    return DensityMatrix(basis, mat)
+    adj, vertices = np.sqrt(g.counts), g.prefixes
+    if keep == "suffix":
+        adj, vertices = adj.T, g.suffixes
+    return DensityMatrix(Alphabet(tuple(" ".join(v) for v in vertices)), adj @ adj.T / total)
 
 
 def parity_graph(ds: SequenceDataset) -> EmpiricalGraph:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .empirical import SequenceDataset, _decode, _labels, cut_counts
-from .qprob import Alphabet
+from .qprob import Alphabet, _readonly
 
 __all__ = [
     "CorpusState",
@@ -61,11 +61,10 @@ class CorpusState:
         if ds.length < 2:
             raise ValueError("corpus sequences must have length at least 2")
         prefixes, suffixes, counts = cut_counts(ds, ds.length - 1)
-        cols = np.ascontiguousarray(np.sqrt(counts / ds.n_samples).T)
-        totals = counts.sum(axis=1) / ds.n_samples
-        for arr in (prefixes, cols, totals):
-            arr.flags.writeable = False
-        return cls(ds, prefixes, totals, _labels(ds.alphabet, suffixes), cols)
+        # C order: the BLAS products in pattern_density read columns as laid out
+        cols = _readonly(np.ascontiguousarray(np.sqrt(counts / ds.n_samples).T))
+        totals = _readonly(counts.sum(axis=1) / ds.n_samples)
+        return cls(ds, _readonly(prefixes, np.int64), totals, _labels(ds.alphabet, suffixes), cols)
 
     @property
     def cut(self) -> int:
@@ -91,7 +90,7 @@ class EntailmentDensity:
     normalized: bool
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
+        mat = _readonly(self.matrix)
         if not 0.0 <= self.weight <= 1.0 + 1e-12:
             raise ValueError(f"weight {self.weight!r} outside [0, 1]")
         if not linalg.is_psd(mat, PSD_TOL):
@@ -99,7 +98,6 @@ class EntailmentDensity:
         expected = 1.0 if self.normalized else self.weight
         if abs(float(np.trace(mat)) - expected) > PSD_TOL:
             raise ValueError("trace does not match the declared normalization")
-        mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
 
@@ -114,14 +112,12 @@ def _match(
         raise ValueError("pattern must assign at least one position")
     items = tuple((int(pos), str(token)) for pos, token in sorted(pattern.items()))
     mask = np.ones(len(cs.prefix_codes), dtype=bool)
+    positions = cs.dataset.alphabet.positions
     for pos, token in items:
         if not 1 <= pos <= cs.cut:
             raise ValueError(f"pattern position {pos} outside the prefix range 1..{cs.cut}")
-        try:
-            code = cs.dataset.alphabet.index(token)
-        except ValueError:
-            code = -1  # a foreign token matches nothing
-        mask &= cs.prefix_codes[:, pos - 1] == code
+        # a foreign token's code, -1, matches nothing
+        mask &= cs.prefix_codes[:, pos - 1] == positions.get(token, -1)
     idx = np.flatnonzero(mask)
     if not idx.size:
         raise PatternUnobservedError(f"pattern unobserved: {dict(items)!r}")
@@ -168,11 +164,9 @@ def decompose(
     return out
 
 
-def loewner_geq(
-    a: EntailmentDensity, b: EntailmentDensity, scale: float = 1.0, tol: float = PSD_TOL
-) -> bool:
-    """True iff a.matrix - scale * b.matrix is positive semidefinite within tol."""
-    return difference_min_eigenvalue(a, b, scale) >= -tol
+def loewner_geq(a: EntailmentDensity, b: EntailmentDensity, scale: float = 1.0) -> bool:
+    """True iff a.matrix - scale * b.matrix is positive semidefinite within PSD_TOL."""
+    return difference_min_eigenvalue(a, b, scale) >= -PSD_TOL
 
 
 def difference_min_eigenvalue(

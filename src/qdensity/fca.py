@@ -45,14 +45,7 @@ class Relation:
     incidence: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.incidence, dtype=bool)
-        if table.shape != (len(self.x_alphabet), len(self.y_alphabet)):
-            raise ValueError(
-                f"incidence shape {table.shape} does not match alphabets "
-                f"({len(self.x_alphabet)}, {len(self.y_alphabet)})"
-            )
-        table = table.copy()
-        table.flags.writeable = False
+        table = qprob._table(self.incidence, self.x_alphabet, self.y_alphabet, "incidence", bool)
         object.__setattr__(self, "incidence", table)
 
     @classmethod
@@ -84,14 +77,12 @@ def _symbols(alphabet: Alphabet, mask: np.ndarray) -> frozenset[str]:
 
 def galois_f(r: Relation, a: Iterable[str]) -> frozenset[str]:
     """Attributes shared by every object in a; all attributes for the empty set."""
-    rows = [r.x_alphabet.index(s) for s in a]
-    return _symbols(r.y_alphabet, r.incidence[rows].all(axis=0))
+    return _symbols(r.y_alphabet, r.incidence[r.x_alphabet.encode(a)].all(axis=0))
 
 
 def galois_g(r: Relation, b: Iterable[str]) -> frozenset[str]:
     """Objects related to every attribute in b; all objects for the empty set."""
-    cols = [r.y_alphabet.index(s) for s in b]
-    return _symbols(r.x_alphabet, r.incidence[:, cols].all(axis=1))
+    return _symbols(r.x_alphabet, r.incidence[:, r.y_alphabet.encode(b)].all(axis=1))
 
 
 def _close_by_one(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

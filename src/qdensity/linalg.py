@@ -25,8 +25,6 @@ _SIGN_EPS = 1e-12
 # by the sign-fixed vectors (lexicographically greatest first).
 _TIE_TOL = 1e-9
 
-RECONSTRUCTION_TOL = 1e-10
-
 
 class SymEigen(NamedTuple):
     """Spectral decomposition of a symmetric matrix.
@@ -84,14 +82,10 @@ def _tie_sorted(values: np.ndarray, key_vectors: np.ndarray, *paired: np.ndarray
     gaps = values[:-1] - values[1:]
     if not np.any(gaps <= _TIE_TOL):
         return (values, key_vectors, *paired)
-    order, start = list(range(len(values))), 0
-    for end in range(1, len(values) + 1):
-        if end == len(values) or gaps[end - 1] > _TIE_TOL:
-            if end - start > 1:
-                group = order[start:end]
-                order[start:end] = sorted(group, key=lambda j: tuple(key_vectors[:, j]), reverse=True)
-            start = end
-    return (values[order], key_vectors[:, order], *(c[:, order] for c in paired))
+    groups = np.concatenate(([0], np.cumsum(gaps > _TIE_TOL)))
+    # lexsort's last key is its first; it is stable, so tied key columns keep their order
+    order = np.lexsort((*-key_vectors[::-1], groups))
+    return (values[order], *map(lambda m: m[:, order], (key_vectors, *paired)))
 
 
 def sym_eigen(m) -> SymEigen:

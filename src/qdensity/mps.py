@@ -75,6 +75,7 @@ SAMPLE_BLOCK = 1024
 # with P < 2n and d <= B, then holds at most 32 KB per site.
 BORN_STACK_WIDTH = 16
 ZERO_NORM = 1e-10  # train refuses a residual map whose norm is below this
+MAX_OUTCOMES = 2**22  # distribution_table enumerates at most this many sequences
 
 
 @dataclass(frozen=True)
@@ -298,12 +299,12 @@ def born_probability(m: MatrixProductState, s) -> float:
     return float(mats[0, 0, 0] ** 2)
 
 
-def distribution_table(m: MatrixProductState, max_outcomes: int = 2**22) -> np.ndarray:
+def distribution_table(m: MatrixProductState) -> np.ndarray:
     """Born probabilities of all physical_dim**n sequences, lexicographic.
 
-    Materializes the full amplitude vector; guarded to small state spaces.
+    Materializes the full amplitude vector; guarded to MAX_OUTCOMES.
     """
-    if m.physical_dim**m.n > max_outcomes:
+    if m.physical_dim**m.n > MAX_OUTCOMES:
         raise ValueError(f"refusing to enumerate {m.physical_dim}**{m.n} outcomes")
     amps = m.tensors[0][0]
     for t in m.tensors[1:]:
@@ -316,10 +317,7 @@ def parity_target(n: int) -> MatrixProductState:
     if n < 2:
         raise ValueError("parity target needs n >= 2")
     first = np.eye(2).reshape(1, 2, 2)
-    xor = np.zeros((2, 2, 2))
-    for left in range(2):
-        for p in range(2):
-            xor[left, p, left ^ p] = 1.0
+    xor = np.eye(2)[np.bitwise_xor.outer(range(2), range(2))]  # xor[left, p, left ^ p] = 1
     last = np.zeros((2, 2, 1))
     last[0, 0, 0] = last[1, 1, 0] = 1.0 / math.sqrt(2 ** (n - 1))
     tensors = [first] + [xor] * (n - 2) + [last]
@@ -559,11 +557,19 @@ def save_model(m: MatrixProductState, path) -> None:
 
 
 def load_model(path) -> MatrixProductState:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    tensors = tuple(np.asarray(t, dtype=float) for t in payload["tensors"])
-    n, d = int(payload["n"]), int(payload["physical_dim"])
-    model = MatrixProductState(n, d, tensors, payload.get("alphabet"))  # absent: the default
-    if list(model.bond_dims) != list(payload["bond_dims"]):
-        raise ValueError("bond_dims field does not match the stored tensors")
+    """The model save_model wrote; any fault in the file is a ValueError("bad model file ...")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise TypeError("the payload is not a JSON object")
+        tensors = tuple(np.asarray(t, dtype=float) for t in payload["tensors"])
+        n, d = int(payload["n"]), int(payload["physical_dim"])
+        model = MatrixProductState(n, d, tensors, payload.get("alphabet"))  # absent: the default
+        if list(model.bond_dims) != list(payload["bond_dims"]):
+            raise ValueError("bond_dims field does not match the stored tensors")
+    except KeyError as exc:
+        raise ValueError(f"bad model file {path}: no {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad model file {path}: {exc}") from None
     return model

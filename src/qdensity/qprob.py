@@ -51,10 +51,19 @@ ENTROPY_CUTOFF = 1e-14
 MAX_PRODUCT_DIM = 2**20
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _readonly(a, dtype=float) -> np.ndarray:
+    """A read-only copy of a, in a's memory order."""
+    out = np.array(a, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _table(values, x: Alphabet, y: Alphabet, what: str, dtype=float) -> np.ndarray:
+    """A read-only copy of values, checked to have one row per x and one column per y symbol."""
+    table, shape = _readonly(values, dtype), (len(x), len(y))
+    if table.shape != shape:
+        raise ValueError(f"{what} shape {table.shape} does not match alphabets {shape}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -85,10 +94,14 @@ class Alphabet:
 
     def index(self, symbol: str) -> int:
         """Position of symbol; ValueError when it is not in the alphabet."""
+        return int(self.encode((symbol,))[0])
+
+    def encode(self, symbols: Iterable[str]) -> np.ndarray:
+        """The int64 position of each symbol; ValueError names the first one not in the alphabet."""
         try:
-            return self.positions[symbol]
-        except KeyError:
-            raise ValueError(f"{symbol!r} is not in the alphabet") from None
+            return np.fromiter(map(self.positions.__getitem__, symbols), dtype=np.int64)
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not in the alphabet") from None
 
     @classmethod
     def first_appearance(cls, tokens: Iterable[str]) -> tuple["Alphabet", np.ndarray]:
@@ -123,12 +136,7 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.probs, dtype=float)
-        if table.shape != (len(self.x_alphabet), len(self.y_alphabet)):
-            raise ValueError(
-                f"probability table shape {table.shape} does not match alphabets "
-                f"({len(self.x_alphabet)}, {len(self.y_alphabet)})"
-            )
+        table = _table(self.probs, self.x_alphabet, self.y_alphabet, "probability table")
         if table.size > MAX_PRODUCT_DIM:
             raise ValueError(
                 f"product space of {table.size} entries exceeds the supported {MAX_PRODUCT_DIM}"
@@ -138,7 +146,7 @@ class JointDistribution:
         total = float(table.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "probs", _readonly(table))
+        object.__setattr__(self, "probs", table)
 
 
 @dataclass(frozen=True)
@@ -155,15 +163,11 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.amplitudes, dtype=float)
-        if table.shape != (len(self.x_alphabet), len(self.y_alphabet)):
-            raise ValueError(
-                f"amplitude table shape {table.shape} does not match alphabets"
-            )
+        table = _table(self.amplitudes, self.x_alphabet, self.y_alphabet, "amplitude table")
         sq = float((table**2).sum())
         if abs(sq - 1.0) > NORM_TOL:
             raise ValueError(f"squared amplitudes sum to {sq!r}, expected 1")
-        object.__setattr__(self, "amplitudes", _readonly(table))
+        object.__setattr__(self, "amplitudes", table)
 
     @property
     def vector(self) -> np.ndarray:
@@ -294,19 +298,8 @@ def kraus_reduced(psi: PureState, keep: str) -> DensityMatrix:
     """
     _check_keep(keep)
     m = psi.matrix()
-    if keep == "Y":
-        dim = len(psi.y_alphabet)
-        acc = np.zeros((dim, dim))
-        for i in range(m.shape[1]):
-            col = m[:, i]
-            acc += np.outer(col, col)
-        return DensityMatrix(psi.y_alphabet, acc)
-    dim = len(psi.x_alphabet)
-    acc = np.zeros((dim, dim))
-    for a in range(m.shape[0]):
-        row = m[a, :]
-        acc += np.outer(row, row)
-    return DensityMatrix(psi.x_alphabet, acc)
+    slices, alphabet = (m.T, psi.y_alphabet) if keep == "Y" else (m, psi.x_alphabet)
+    return DensityMatrix(alphabet, sum(np.outer(v, v) for v in slices))
 
 
 def born_distribution(rho: DensityMatrix) -> np.ndarray:

@@ -184,6 +184,30 @@ class TestDistributionCsvErrors:
         if message.startswith("line"):
             assert f"{path}: {message}" in result.output
 
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            (["reduce"], "d.csv"),
+            (["reduce", "--cut", "1"], "d.txt"),
+            (["concepts"], "rel.csv"),
+        ],
+    )
+    def test_non_utf8_file_is_reported(self, runner, tmp_path, command, name):
+        path = tmp_path / name
+        path.write_bytes(b"x,y\n\xff,u\n")
+        result = runner.invoke(main, [command[0], str(path), *command[1:]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {path}: 'utf-8' codec can't decode byte 0xff" in result.output
+
+    def test_non_utf8_order_file_is_reported(self, runner, tmp_path):
+        path, order = tmp_path / "d.csv", tmp_path / "order.txt"
+        path.write_text("x,y,p\na,u,1\n")
+        order.write_bytes(b"a\n\xff\n")
+        result = runner.invoke(main, ["reduce", str(path), "--order", str(order)])
+        assert result.exit_code == 1
+        assert f"Error: {order}: 'utf-8' codec" in result.output
+
     def test_bad_header(self, tmp_path):
         # reduce reads a file whose first line is not x,y,p as a dataset, so
         # the loader's own header check is reached only directly
@@ -414,7 +438,27 @@ class TestParity:
         bad = tmp_path / "m.json"
         bad.write_text('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": []}')
         result = runner.invoke(main, ["parity", "eval", "--model", str(bad)])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["eval", "sample"])
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ("[]", "the payload is not a JSON object"),
+            ('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": 5}', "not iterable"),
+            ('{"n": 3, "physical_dim": 2, "bond_dims": [1]}', "no 'tensors' field"),
+        ],
+    )
+    def test_malformed_model_file_is_reported(self, runner, tmp_path, command, payload, reason):
+        bad = tmp_path / "m.json"
+        bad.write_text(payload)
+        result = runner.invoke(main, ["parity", command, "--model", str(bad)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: bad model file {bad}: " in result.output
+        assert reason in result.output
 
     def test_eval_rejects_non_bit_model(self, runner, tmp_path):
         path = tmp_path / "ab.txt"

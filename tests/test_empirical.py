@@ -19,6 +19,7 @@ from qdensity.empirical import (
 from qdensity.qprob import Alphabet
 
 from conftest import (
+    BITS,
     FIVE_EDGE_LINES,
     FIVE_PHRASE_LINES,
     THREE_PHRASE_LINES,
@@ -33,6 +34,10 @@ SEVEN_SAMPLE_LINES = ["00000", "00110", "11000", "11011", "01001", "10001", "101
 
 
 class TestParsing:
+    def test_constructor_names_a_foreign_token(self):
+        with pytest.raises(ValueError, match=r"^'2' is not in the alphabet$"):
+            SequenceDataset(BITS, 2, [("0", "2")])
+
     def test_word_corpus(self):
         ds = parse_dataset(THREE_PHRASE_LINES)
         assert ds.length == 2

@@ -20,6 +20,12 @@ def corpus():
     return CorpusState.from_dataset(parse_dataset(FIVE_PHRASE_LINES))
 
 
+def test_corpus_state_arrays_are_read_only(corpus):
+    for arr in (corpus.prefix_codes, corpus.prefix_probs, corpus.columns):
+        assert not arr.flags.writeable
+    assert corpus.columns.flags.c_contiguous
+
+
 class TestPatternDensity:
     def test_orange_normalized(self, corpus):
         dens = pattern_density(corpus, {3: "orange"}, normalized=True)

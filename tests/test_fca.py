@@ -35,6 +35,14 @@ def relation(table):
     )
 
 
+def test_relation_copies_the_callers_table():
+    table = np.array([[True, False], [False, True]])
+    r = relation(table)
+    table[0, 0] = False
+    assert r.incidence.tolist() == [[True, False], [False, True]]
+    assert not r.incidence.flags.writeable
+
+
 class TestFromPairs:
     def test_generator_gives_the_same_relation(self):
         r = fca.Relation.from_pairs(pair for pair in FOUR_EDGE + FOUR_EDGE[:1])

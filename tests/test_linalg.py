@@ -174,3 +174,49 @@ def test_svd_eigen_consistency_property(rows, cols, seed):
     k = min(rows, cols)
     ev = linalg.sym_eigen(m.T @ m).eigenvalues[:k]
     assert np.allclose(out.singular_values**2, ev, atol=1e-10)
+
+
+def loop_tie_sorted(values, key_vectors, *paired):
+    """The group-by-group tie sort that linalg._tie_sorted's array sort replaced."""
+    gaps = values[:-1] - values[1:]
+    if not np.any(gaps <= linalg._TIE_TOL):
+        return (values, key_vectors, *paired)
+    order, start = list(range(len(values))), 0
+    for end in range(1, len(values) + 1):
+        if end == len(values) or gaps[end - 1] > linalg._TIE_TOL:
+            if end - start > 1:
+                group = order[start:end]
+                order[start:end] = sorted(group, key=lambda j: tuple(key_vectors[:, j]), reverse=True)
+            start = end
+    return (values[order], key_vectors[:, order], *(c[:, order] for c in paired))
+
+
+# values a tie tolerance apart, or less, or more; keys with signed zeros
+TIE_VALUES = [2.0, 1.0 + 2e-9, 1.0 + 5e-10, 1.0, 1.0 - 5e-10, 1e-10, 0.0, -0.0, -1e-10]
+TIE_KEYS = [1.0, 0.5, 0.0, -0.0, -0.5, -1.0]
+
+
+@st.composite
+def tie_cases(draw):
+    k = draw(st.integers(0, 8))
+    values = np.array(draw(st.lists(st.sampled_from(TIE_VALUES), min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        values = -np.sort(-values)  # descending, as eigh and svd hand them over
+    rows = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(st.sampled_from(TIE_KEYS), min_size=rows, max_size=rows),
+                         min_size=1, max_size=3))  # few distinct columns: many duplicates
+    keys = np.array([draw(st.sampled_from(pool)) for _ in range(k)]).reshape(k, rows).T
+    heights = draw(st.lists(st.integers(1, 3), max_size=2))
+    paired = [np.arange(k * r, dtype=float).reshape(r, k) for r in heights]
+    return values, keys, paired
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_cases())
+def test_tie_sorted_matches_the_loop_bit_for_bit(case):
+    values, keys, paired = case
+    got = linalg._tie_sorted(values, keys, *paired)
+    want = loop_tie_sorted(values, keys, *paired)
+    assert len(got) == len(want) == 2 + len(paired)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

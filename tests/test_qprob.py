@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdensity import qprob
+from qdensity.fca import Relation
 from qdensity.qprob import Alphabet, DensityMatrix, JointDistribution, PureState
 
 from conftest import random_joint, three_phrase_distribution
@@ -41,6 +42,30 @@ class TestTypes:
         for unknown in ("x", "", 0):
             with pytest.raises(ValueError, match="not in the alphabet"):
                 a.index(unknown)
+
+    def test_encode_codes_in_order_as_int64(self):
+        a = Alphabet(("u", "v", "w"))
+        codes = a.encode(iter(["w", "u", "w", "v"]))
+        assert codes.dtype == np.int64 and codes.tolist() == [2, 0, 2, 1]
+        empty = a.encode([])
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+    def test_encode_names_the_first_foreign_symbol(self):
+        with pytest.raises(ValueError, match=r"^'c' is not in the alphabet$"):
+            Alphabet(("a", "b")).encode(["a", "c", "d"])
+
+    @pytest.mark.parametrize(
+        "cls, what",
+        [
+            (JointDistribution, "probability table"),
+            (PureState, "amplitude table"),
+            (Relation, "incidence"),
+        ],
+    )
+    def test_table_shape_message(self, cls, what):
+        with pytest.raises(ValueError) as err:
+            cls(Alphabet(("a", "b")), Alphabet(("u",)), np.array([[1.0, 0.0]]))
+        assert str(err.value) == f"{what} shape (1, 2) does not match alphabets (2, 1)"
 
     def test_first_appearance_codes_each_token(self):
         alphabet, codes = Alphabet.first_appearance(iter(["v", "u", "v", "w", "u"]))
