@@ -12,7 +12,7 @@ import numpy as np
 
 from . import entailment, fca, mps, qprob
 from ._format import csv_row, dumps, format_float
-from .empirical import empirical_distribution, load_dataset
+from .empirical import empirical_distribution, parse_dataset
 from .qprob import Alphabet, JointDistribution
 
 DIST_HEADER = "x,y,p"
@@ -39,6 +39,11 @@ def _decoded(path, read):
         with open(path, encoding="utf-8") as fh:
             return read(fh)
     except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # decoded whole, the position counts from the file's start
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
         raise _fail(f"{path}: {exc}")
 
 
@@ -130,7 +135,7 @@ def cmd_reduce(input_path, cut, order, out):
         if order is not None:
             raise _fail("--order applies to a distribution CSV, not to dataset input")
         try:
-            ds = load_dataset(input_path)
+            ds = _decoded(input_path, parse_dataset)
             pi = empirical_distribution(ds, cut)
         except ValueError as exc:
             raise _fail(str(exc))
@@ -234,7 +239,7 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
     the latter.
     """
     try:
-        cs = entailment.CorpusState.from_dataset(load_dataset(corpus_path))
+        cs = entailment.CorpusState.from_dataset(_decoded(corpus_path, parse_dataset))
     except ValueError as exc:
         raise _fail(str(exc))
     pat = _parse_pattern(pattern)
@@ -297,7 +302,7 @@ def parity_train(n, fraction, data, chi, seed, model_path):
         raise _fail("give either --data, or --fraction with --n")
     try:
         if data is not None:
-            ds = load_dataset(data)
+            ds = _decoded(data, parse_dataset)
         else:
             ds = mps.draw_even_subset(n, mps.even_subset_count(n, fraction), seed)
         model = mps.train(ds, mps.TrainConfig(chi=chi))

@@ -53,16 +53,19 @@ def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
-def _require_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
+def _as_symmetric(m, tol: float = 1e-12) -> np.ndarray:
+    # finiteness first: an infinity would reach the symmetry test as inf - inf, a warning
+    a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if a.size and np.max(np.abs(a - a.T)) > tol:
+    if a.size and np.abs(a - a.T).max() > tol:
         raise ValueError(f"matrix is not symmetric within {tol}")
+    return a
 
 
 def _column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -94,8 +97,7 @@ def sym_eigen(m) -> SymEigen:
     Raises ValueError for non-square or asymmetric (beyond 1e-12) input.
     Satisfies E @ diag(w) @ E.T == m within 1e-10.
     """
-    a = _as_matrix(m)
-    _require_symmetric(a)
+    a = _as_symmetric(m)
     w, v = np.linalg.eigh(a)
     w, v = w[::-1], v[:, ::-1]  # eigh is ascending
     w, v = _tie_sorted(w, v * _column_signs(v))
@@ -118,8 +120,7 @@ def svd(m) -> Svd:
 
 def is_psd(m, tol: float) -> bool:
     """True iff the smallest eigenvalue of the symmetric matrix m is >= -tol."""
-    a = _as_matrix(m)
-    _require_symmetric(a)
+    a = _as_symmetric(m)
     if a.size == 0:
         return True
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)

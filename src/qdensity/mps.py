@@ -6,10 +6,11 @@ position; the ranks of the whole samples pick out and count the distinct
 samples, and the ranks at position k are the suffix groups of the cut at
 k. At each cut the sweep maps every distinct sample's prefix through the
 isometries collected so far, sums the weighted (bond x physical) vectors
-of each suffix group with one bincount, forms the reduced density from
-those sums, keeps its top eigenvectors as the next tensor, and applies
-that tensor with one matrix product and one gather. It finishes with the
-untruncated residual map. The resulting chain of order-3 tensors
+of each suffix group with one bincount per bond column, forms the reduced
+density from those sums, keeps its top eigenvectors as the next tensor,
+and applies that tensor with one matrix product and one row take. Every
+per-sample operation is on contiguous 1-D keys or whole rows. It finishes
+with the untruncated residual map. The resulting chain of order-3 tensors
 supports exact Born probabilities, inner products, ancestral sampling,
 and the subset-fraction experiment. Every contraction is a few large
 matrix products: the inner product and the sampler's right environments
@@ -158,26 +159,15 @@ def _group_sums(
     """Weighted (bond x physical) vectors summed per group, one row per group.
 
     Column bond * d + bit of row g sums weights * mapped[:, bond] over the
-    samples of group g whose physical symbol is bit.
+    samples of group g whose physical symbol is bit, in sample order: one
+    bincount per bond column over the 1-D keys groups * d + bits.
     """
-    b = mapped.shape[1]
-    size = (int(groups.max()) + 1) * b * d
-    bins = (groups[:, None] * b + np.arange(b)) * d + bits[:, None]
-    sums = np.bincount(bins.reshape(-1), (weights[:, None] * mapped).reshape(-1), minlength=size)
-    return sums.reshape(-1, b * d)
-
-
-def _step_density_matrix(
-    mapped: np.ndarray, bits: np.ndarray, groups: np.ndarray, weights: np.ndarray, d: int
-) -> np.ndarray:
-    """Unit-trace reduced density on (bond x physical) at the current cut.
-
-    Samples sharing a suffix interfere, so their weighted (bond x physical)
-    vectors are summed per suffix group before the outer products.
-    """
-    rows = _group_sums(mapped, bits, groups, weights, d)
-    rho = rows.T @ rows
-    return rho / np.trace(rho)
+    count, b = int(groups.max()) + 1, mapped.shape[1]
+    keys = groups * d + bits
+    sums = np.empty((count, b, d))
+    for j in range(b):
+        sums[:, j] = np.bincount(keys, weights * mapped[:, j], minlength=count * d).reshape(count, d)
+    return sums.reshape(count, b * d)
 
 
 def _sweep(ds: SequenceDataset, cfg: TrainConfig):
@@ -190,18 +180,21 @@ def _sweep(ds: SequenceDataset, cfg: TrainConfig):
     if cfg.chi > d * d:
         raise ValueError(f"chi={cfg.chi} exceeds the first step's rank bound {d * d}")
     rows, weights, ranks = _sample_arrays(ds)
-    mapped = np.eye(d)[ds.codes[rows, 0]]  # site 1 is the identity tensor
+    mapped = np.eye(d)[ds.codes[:, 0].take(rows)]  # site 1 is the identity tensor
+    start = np.arange(len(rows)) * d
     for k in range(2, n):
-        bits = ds.codes[rows, k - 1]
-        rho = _step_density_matrix(mapped, bits, ranks[k, rows], weights, d)
-        eig = linalg.sym_eigen(rho)
-        iso = eig.eigenvectors[:, : cfg.chi]
+        bits = ds.codes[:, k - 1].take(rows)
+        # samples sharing a suffix interfere: their vectors are summed before the outer products
+        sums = _group_sums(mapped, bits, ranks[k].take(rows), weights, d)
+        rho = sums.T @ sums
+        rho /= np.trace(rho)
+        del sums  # the step's largest array, up to (N, b * d), is freed before the isometry step
+        iso = linalg.sym_eigen(rho).eigenvectors[:, : cfg.chi]
         yield k, rho, iso
-        # map every sample through every symbol's slice, then keep its own symbol's
-        branches = (mapped @ iso.reshape(-1, d * cfg.chi)).reshape(-1, d, cfg.chi)
-        mapped = branches[np.arange(len(bits)), bits]
-    one_group = np.zeros(len(rows), dtype=np.intp)
-    final = _group_sums(mapped, ds.codes[rows, n - 1], one_group, weights, d)
+        # map every sample through every symbol's slice; row start + bits is its own symbol's
+        branches = mapped @ iso.reshape(-1, d * cfg.chi)
+        mapped = branches.reshape(-1, cfg.chi).take(start + bits, axis=0)
+    final = _group_sums(mapped, ds.codes[:, n - 1].take(rows), np.zeros_like(rows), weights, d)
     yield n, None, final.reshape(-1, d)
 
 

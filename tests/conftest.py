@@ -151,6 +151,57 @@ def reference_sample_codes(m, count: int, seed: int) -> np.ndarray:
     return choices
 
 
+def reference_group_sums(
+    mapped: np.ndarray, bits: np.ndarray, groups: np.ndarray, weights: np.ndarray, d: int
+) -> np.ndarray:
+    """Oracle: the per-group sums by one bincount over (sample, bond) bins.
+
+    Column bond * d + bit of row g sums weights * mapped[:, bond] over the
+    samples of group g whose physical symbol is bit.
+    """
+    b = mapped.shape[1]
+    size = (int(groups.max()) + 1) * b * d
+    bins = (groups[:, None] * b + np.arange(b)) * d + bits[:, None]
+    sums = np.bincount(bins.reshape(-1), (weights[:, None] * mapped).reshape(-1), minlength=size)
+    return sums.reshape(-1, b * d)
+
+
+def reference_step_density_matrix(
+    mapped: np.ndarray, bits: np.ndarray, groups: np.ndarray, weights: np.ndarray, d: int
+) -> np.ndarray:
+    """Oracle: unit-trace reduced density on (bond x physical) at the current cut."""
+    rows = reference_group_sums(mapped, bits, groups, weights, d)
+    rho = rows.T @ rows
+    return rho / np.trace(rho)
+
+
+def reference_sweep(ds: SequenceDataset, chi: int):
+    """Oracle: mps._sweep as it was with 2-D bins and fancy gathers.
+
+    Yields (site, density, isometry) per interior step, then the residual
+    map. Every per-sample sum sees the same addends in the same order as the
+    sweep's, so its outputs must be bit-identical to mps._sweep's.
+    """
+    from qdensity import linalg
+    from qdensity.mps import _sample_arrays
+
+    n, d = ds.length, len(ds.alphabet)
+    rows, weights, ranks = _sample_arrays(ds)
+    mapped = np.eye(d)[ds.codes[rows, 0]]  # site 1 is the identity tensor
+    for k in range(2, n):
+        bits = ds.codes[rows, k - 1]
+        rho = reference_step_density_matrix(mapped, bits, ranks[k, rows], weights, d)
+        eig = linalg.sym_eigen(rho)
+        iso = eig.eigenvectors[:, :chi]
+        yield k, rho, iso
+        # map every sample through every symbol's slice, then keep its own symbol's
+        branches = (mapped @ iso.reshape(-1, d * chi)).reshape(-1, d, chi)
+        mapped = branches[np.arange(len(bits)), bits]
+    one_group = np.zeros(len(rows), dtype=np.intp)
+    final = reference_group_sums(mapped, ds.codes[rows, n - 1], one_group, weights, d)
+    yield n, None, final.reshape(-1, d)
+
+
 _SIGN_EPS = 1e-12
 _TIE_TOL = 1e-9
 

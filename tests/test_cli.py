@@ -200,6 +200,33 @@ class TestDistributionCsvErrors:
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {path}: 'utf-8' codec can't decode byte 0xff" in result.output
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["reduce", "{path}", "--cut", "1"],
+            ["entail", "{path}", "--pattern", "1=small", "--against", "1=small,2=ripe"],
+            ["parity", "train", "--data", "{path}", "--model", "{model}"],
+        ],
+        ids=["reduce", "entail", "parity-train"],
+    )
+    def test_late_non_utf8_byte_in_a_dataset_is_reported(self, runner, tmp_path, command):
+        # the bad byte lies past the text reader's first decoded chunk, so it
+        # fails mid-parse; the message still names the file, and the byte's
+        # position counts from the start of the file
+        data = bytearray(b"small ripe fruit\n" * 3001)
+        data[18000] = 0xFF
+        path, model = tmp_path / "late.txt", tmp_path / "model.json"
+        path.write_bytes(bytes(data))
+        args = [a.format(path=path, model=model) for a in command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (
+            f"Error: {path}: 'utf-8' codec can't decode byte 0xff in position 18000: invalid start byte"
+            in result.output
+        )
+        assert not model.exists()
+
     def test_non_utf8_order_file_is_reported(self, runner, tmp_path):
         path, order = tmp_path / "d.csv", tmp_path / "order.txt"
         path.write_text("x,y,p\na,u,1\n")

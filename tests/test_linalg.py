@@ -45,6 +45,41 @@ class TestSymEigen:
         with pytest.raises(ValueError):
             linalg.sym_eigen(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 2), (0, 1), (2, 0)])
+    @pytest.mark.parametrize("both", [False, True])
+    def test_rejects_a_non_finite_entry_as_such(self, entry, where, both):
+        # a NaN or infinity, on or off the diagonal, mirrored or not, is named
+        # as such, and raises no floating-point warning on the way
+        m = np.eye(3) / 3
+        m[where] = entry
+        if both:
+            m[where[::-1]] = entry
+        for check in (linalg.sym_eigen, lambda a: linalg.is_psd(a, tol=1e-10)):
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                check(m)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], r"^matrix is not symmetric within 1e-12$"),
+            ([[0.0, 1.0], [1.0 + 1e-11, 0.0]], r"^matrix is not symmetric within 1e-12$"),
+            (np.zeros((2, 3)), r"^matrix must be square, got shape \(2, 3\)$"),
+            (np.zeros(4), r"^expected a 2-d matrix, got array of shape \(4,\)$"),
+            (np.zeros((2, 2, 2)), r"^expected a 2-d matrix, got array of shape \(2, 2, 2\)$"),
+        ],
+    )
+    def test_validation_messages(self, m, message):
+        for check in (linalg.sym_eigen, lambda a: linalg.is_psd(a, tol=1e-10)):
+            with pytest.raises(ValueError, match=message):
+                check(m)
+
+    def test_symmetric_within_the_bound_and_empty_matrices_pass(self):
+        m = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+        assert np.allclose(linalg.sym_eigen(m).eigenvalues, [1.5, 0.5], atol=1e-12)
+        assert linalg.is_psd(m, tol=0.0)
+        assert linalg.is_psd(np.zeros((0, 0)), tol=0.0)
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))

@@ -13,7 +13,7 @@ from qdensity.cli import main
 from qdensity.empirical import SequenceDataset, parse_dataset
 from qdensity.mps import TrainConfig
 from qdensity.qprob import Alphabet
-from conftest import dense_sweep_distribution
+from conftest import dense_sweep_distribution, reference_sweep
 
 
 def repeated_dataset(rng, d: int, n: int) -> SequenceDataset:
@@ -59,6 +59,46 @@ def test_step_densities_and_born_table_match_dense_sweep(ds, chi):
         vec, bond = (iso.T @ mat).reshape(-1), iso.shape[1]
     table = mps.distribution_table(model)
     assert np.max(np.abs(table - dense_sweep_distribution(ds, chi))) < 1e-10
+
+
+def word_dataset(rng, d: int, n: int) -> SequenceDataset:
+    """Repeated samples over d words, few enough that most first-symbol pairs are absent."""
+    ds = repeated_dataset(rng, d, n)
+    ds = SequenceDataset.from_codes(Alphabet(tuple(f"w{i}" for i in range(d))), ds.codes)
+    assert len(np.unique(ds.codes, axis=0)) < ds.n_samples
+    assert len(np.unique(ds.codes[:, :2], axis=0)) < d * d
+    return ds
+
+
+def bit_identity_cases():
+    for chi in range(1, 5):
+        for n, count, seed in ((6, 9, 1), (10, 200, 2), (12, 1024, 3)):
+            yield pytest.param(mps.draw_even_subset(n, count, seed + 10 * chi), chi, id=f"even-n{n}-chi{chi}")
+    rng = np.random.default_rng(31)
+    for d, chis in ((5, (1, 3, 7)), (30, (2, 31))):
+        for chi in chis:
+            yield pytest.param(word_dataset(rng, d, int(rng.integers(4, 7))), chi, id=f"words-d{d}-chi{chi}")
+    yield pytest.param(SequenceDataset(Alphabet(("a", "b", "c")), 5, [tuple("abcab")]), 2, id="one-sample")
+    yield pytest.param(mps.draw_even_subset(3, 3, 4), 3, id="n3-bits")
+    yield pytest.param(word_dataset(rng, 5, 3), 4, id="n3-words")
+
+
+@pytest.mark.parametrize("ds, chi", list(bit_identity_cases()))
+def test_sweep_is_bit_identical_to_the_reference(ds, chi):
+    # the 1-D bincounts and row takes sum the same addends in the same order as
+    # the 2-D bins and fancy gathers they replace, so nothing may differ by a bit
+    got = list(mps._sweep(ds, TrainConfig(chi=chi)))
+    want = list(reference_sweep(ds, chi))
+    assert [k for k, _, _ in got] == [k for k, _, _ in want] == list(range(2, ds.length + 1))
+    for (_, rho, payload), (_, rho_ref, payload_ref) in zip(got, want):
+        assert (rho is None) == (rho_ref is None)
+        assert rho is None or np.array_equal(rho, rho_ref)
+        assert np.array_equal(payload, payload_ref)
+    model = mps.train(ds, TrainConfig(chi=chi))
+    for tensor, (_, _, iso) in zip(model.tensors[1:-1], want):
+        assert np.array_equal(tensor.reshape(iso.shape), iso)
+    final = want[-1][2]
+    assert np.array_equal(model.tensors[-1].reshape(final.shape), final / np.linalg.norm(final))
 
 
 def rank_cases():
