@@ -70,6 +70,8 @@ def _as_symmetric(m, tol: float = 1e-12) -> np.ndarray:
 
 def _column_signs(vectors: np.ndarray) -> np.ndarray:
     """Per-column +1 or -1 that makes each column's first nonzero coordinate positive."""
+    if not len(vectors):
+        return np.ones(vectors.shape[1])  # no coordinates, so nothing to flip
     first = (np.abs(vectors) > _SIGN_EPS).argmax(axis=0)
     # a column with no nonzero coordinate leads with its row 0, which is not below -_SIGN_EPS
     lead = vectors[first, np.arange(vectors.shape[1])]

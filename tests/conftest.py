@@ -151,6 +151,74 @@ def reference_sample_codes(m, count: int, seed: int) -> np.ndarray:
     return choices
 
 
+def parent_sample_codes(m, count: int, seed: int) -> np.ndarray:
+    """Oracle: mps._sample_codes as it was with a cumsum over (count, d) weights,
+    a matrix-product pick and a fancy row gather; its draws must be the
+    sampler's, byte for byte."""
+    d = m.physical_dim
+    envs: list[np.ndarray] = [np.ones((1, 1))]
+    for t in reversed(m.tensors):
+        l, _, r = t.shape
+        half = (t.reshape(l * d, r) @ envs[-1]).reshape(l, d * r)
+        envs.append(half @ t.reshape(l, d * r).T)
+    envs.reverse()  # envs[k] covers sites k..n-1 (0-based)
+    rng = np.random.default_rng(seed)
+    vecs = np.ones((count, 1))
+    choices = np.empty((count, m.n), dtype=np.min_scalar_type(d - 1))  # one byte each for d <= 256
+    offsets = np.arange(count) * d
+    for k, t in enumerate(m.tensors):
+        l, _, r = t.shape
+        branch = (vecs @ t.reshape(l, d * r)).reshape(count * d, r)  # row c * d + p: chain c, symbol p
+        weights = branch @ envs[k + 1]
+        weights *= branch
+        weights = weights @ np.ones(r)
+        weights = np.clip(weights, 0.0, None, out=weights).reshape(count, d)
+        running = np.cumsum(weights, axis=1)
+        scaled = rng.random(count) * running[:, -1]
+        pick = np.minimum((running < scaled[:, None]) @ np.ones(d), d - 1).astype(np.intp)
+        choices[:, k] = pick
+        chosen = offsets + pick
+        vecs = branch[chosen]
+        scale = weights.reshape(-1)[chosen]
+        scale[scale == 0] = 1.0  # an all-zero chain picks symbol 0 and stays as it is
+        vecs /= np.sqrt(scale)[:, None]
+    return choices
+
+
+def parent_sample(m, count: int, seed: int) -> list[str]:
+    """Oracle: mps.sample as it was, every block decoded by an object-table
+    lookup and a join per row."""
+    from qdensity.mps import SAMPLE_BLOCK
+
+    if count == 0:
+        return []
+    choices = parent_sample_codes(m, count, seed)
+    symbols = np.array(m.alphabet.symbols, dtype=object)
+    sep = "" if all(len(t) == 1 for t in m.alphabet) else " "
+    lines: list[str] = []
+    for lo in range(0, count, SAMPLE_BLOCK):
+        lines.extend(map(sep.join, symbols[choices[lo : lo + SAMPLE_BLOCK]].tolist()))
+    return lines
+
+
+def parent_born_probability(m, s) -> float:
+    """Oracle: mps.born_probability as it was, gathering the stack's matrices by
+    a fancy index over (site, symbol); its floats must be the function's."""
+    from qdensity.mps import _born_stack, _indices
+
+    indices = _indices(m, s)
+    stack = _born_stack(m)
+    if stack is None:
+        vec = np.ones(1)
+        for tensor, i in zip(m.tensors, indices):
+            vec = vec @ tensor[:, i, :]
+        return float(vec[0] ** 2)
+    mats = stack[np.arange(len(stack)), indices + [0] * (len(stack) - m.n)]
+    while len(mats) > 1:
+        mats = mats[0::2] @ mats[1::2]
+    return float(mats[0, 0, 0] ** 2)
+
+
 def reference_group_sums(
     mapped: np.ndarray, bits: np.ndarray, groups: np.ndarray, weights: np.ndarray, d: int
 ) -> np.ndarray:

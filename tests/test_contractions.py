@@ -12,7 +12,7 @@ from qdensity import mps
 from qdensity.empirical import SequenceDataset
 from qdensity.mps import MatrixProductState, TrainConfig
 from qdensity.qprob import Alphabet
-from conftest import reference_sample_codes
+from conftest import parent_born_probability, parent_sample, parent_sample_codes, reference_sample_codes
 
 WORDS = Alphabet(("red", "green", "blue", "gold"))
 
@@ -92,6 +92,64 @@ class TestSampleOracle:
         last[:, 2, 0] = 1.0
         lopsided = MatrixProductState(3, d, tensors[:1] + (np.ones((d, d, 2)), last))
         assert {s[-1] for s in mps.sample(lopsided, 200, seed=2)} == {"2"}
+
+
+def parent_cases() -> dict[str, MatrixProductState]:
+    """Fresh models, one per decode path and symbol kind, for the parent oracles.
+
+    Bits at n = 10 and 20, one-character alphabets of d = 5, of non-ASCII
+    symbols and with a NUL symbol, words, and a hand-built model whose zero
+    middle tensor leaves every chain all-zero weights.
+    """
+    rng = np.random.default_rng(1501)
+    models = {}
+    for n in (10, 20):
+        models[f"bits{n}"] = mps.train(mps.draw_even_subset(n, 400, n), TrainConfig(chi=2))
+    for name, symbols in (("five", tuple("abcde")), ("accented", ("é", "ü", "ø")), ("nul", ("a", "\0", "b"))):
+        ds = SequenceDataset.from_codes(Alphabet(symbols), rng.integers(len(symbols), size=(80, 5)))
+        models[name] = mps.train(ds, TrainConfig(chi=3))
+    models["words"] = mps.train(SequenceDataset.from_codes(WORDS, rng.integers(4, size=(60, 6))), TrainConfig(chi=3))
+    d = 3
+    tensors = (np.eye(d).reshape(1, d, d), np.zeros((d, d, 2)), np.ones((2, d, 1)))
+    models["zero"] = MatrixProductState(3, d, tensors)
+    return models
+
+
+class TestParentOracles:
+    """The sampler, its decode and the Born gather, byte for byte and float for
+    float against verbatim copies of their cumsum, object-join and fancy-index
+    versions."""
+
+    @pytest.mark.parametrize("count", [1, mps.SAMPLE_BLOCK - 1, mps.SAMPLE_BLOCK + 1, 50000])
+    @pytest.mark.parametrize("name", list(parent_cases()))
+    def test_draws_and_lines_equal_the_parent(self, name, count):
+        m = parent_cases()[name]
+        codes = mps._sample_codes(m, count, seed=count)
+        want = parent_sample_codes(m, count, seed=count)
+        assert codes.dtype == want.dtype and codes.tobytes() == want.tobytes()
+        assert mps.sample(m, count, seed=count) == parent_sample(m, count, seed=count)
+
+    def test_cases_reach_each_decode_path(self):
+        models = parent_cases()
+        # a NUL at a line's end would be lost to a string view: the join keeps it
+        assert any(s.endswith("\0") for s in mps.sample(models["nul"], 200, seed=1))
+        assert {len(s) for s in mps.sample(models["accented"], 200, seed=1)} == {5}
+        assert mps.sample(models["zero"], 3, seed=1) == ["000"] * 3
+
+    @pytest.mark.parametrize("width", [mps.BORN_STACK_WIDTH, 0])
+    @pytest.mark.parametrize("name", list(parent_cases()))
+    def test_born_probabilities_equal_the_parent(self, name, width, monkeypatch):
+        monkeypatch.setattr(mps, "BORN_STACK_WIDTH", width)
+        m, twin = parent_cases()[name], parent_cases()[name]
+        lines = mps.sample(m, 300, seed=7)
+        assert [mps.born_probability(m, s) for s in lines] == [parent_born_probability(twin, s) for s in lines]
+        assert (m.born_stack is None) == (width == 0)
+
+    @pytest.mark.parametrize("width", [mps.BORN_STACK_WIDTH, 0])
+    def test_born_probabilities_match_the_table(self, width, monkeypatch):
+        monkeypatch.setattr(mps, "BORN_STACK_WIDTH", width)
+        for m in small(list(parent_cases().values())):
+            assert_born_matches_table(m)
 
 
 def left_canonical_model(n: int, d: int, chi: int, scale: float, seed: int) -> MatrixProductState:

@@ -80,6 +80,10 @@ class TestSymEigen:
         assert linalg.is_psd(m, tol=0.0)
         assert linalg.is_psd(np.zeros((0, 0)), tol=0.0)
 
+    def test_empty_matrix_has_an_empty_decomposition(self):
+        eig = linalg.sym_eigen(np.zeros((0, 0)))
+        assert eig.eigenvalues.shape == (0,) and eig.eigenvectors.shape == (0, 0)
+
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 4))
@@ -122,6 +126,10 @@ class TestSymEigen:
             assert np.array_equal(eig.eigenvectors, vectors)
             assert eig.eigenvectors.flags.c_contiguous and eig.eigenvalues.flags.c_contiguous
 
+    @pytest.mark.parametrize("cols", [0, 1, 3])
+    def test_column_signs_of_zero_rows_are_positive(self, cols):
+        assert np.array_equal(linalg._column_signs(np.zeros((0, cols))), np.ones(cols))
+
     def test_column_signs_match_the_reference(self):
         rng = np.random.default_rng(29)
         tiny = [0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, -2e-12, 2e-12]
@@ -142,6 +150,14 @@ class TestSvd:
     def test_zero_matrix(self):
         out = linalg.svd(np.zeros((2, 3)))
         assert np.allclose(out.singular_values, [0, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_empty_matrices_have_empty_trimmed_factors(self, shape):
+        rows, cols = shape
+        out = linalg.svd(np.zeros(shape))
+        assert out.u.shape == (rows, 0) and out.singular_values.shape == (0,)
+        assert out.v.shape == (cols, 0)
+        assert np.array_equal(out.u @ np.diag(out.singular_values) @ out.v.T, np.zeros(shape))
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(23)
