@@ -304,18 +304,19 @@ def parity_graph(ds: SequenceDataset) -> EmpiricalGraph:
 
 
 def _block_angle(gap: float, shared: float) -> float:
-    if shared == 0.0:
-        return 0.0
-    return math.atan(2.0 * shared / (math.sqrt(gap * gap + 4.0 * shared * shared) + gap))
+    """t in [0, pi/2] with (cos t, sin t) the top eigenvector of [[d1, s], [s, d2]], gap = d1 - d2."""
+    return 0.5 * math.atan2(2.0 * shared, gap)
 
 
 def summarizer_angles(g: EmpiricalGraph) -> tuple[float, float]:
     """Rotation angles of the top eigenvectors of the two parity blocks.
 
     The prefix basis must be the parity order (00, 11, 01, 10). Within each
-    block the top eigenvector is (cos t, sin t) where t depends on the gap
-    between the two degrees and the shared-suffix count; a block with no
-    shared suffixes is diagonal and gets angle 0 by convention.
+    block the top eigenvector is (cos t, sin t), t = atan2(2s, d1 - d2) / 2,
+    where d1 and d2 are the two degrees and s the shared-suffix count. A
+    block with no shared suffix is diagonal: t is 0 when the first degree
+    is the larger and pi/2 when the second is. An exact tie, s = 0 and
+    d1 = d2, has no single top eigenvector and gets 0 by convention.
     """
     if g.prefixes != PARITY_PREFIX_ORDER:
         raise ValueError(

@@ -16,13 +16,17 @@ and the subset-fraction experiment. Every contraction is a few large
 matrix products: the inner product and the sampler's right environments
 take two per site; the sampler advances all its chains at once, one
 product per site for every branch and two more for the weights; and a
-Born probability multiplies its string's gathered site matrices
-pairwise, in ceil(log2 n) levels, from a padded per-model stack built on
-first use. The per-chain work between the products is 1-D as well: the
-sampler keeps one running-sum column per symbol and takes each chain's
-branch by flat row, its draws become lines through a fixed-width string
-view when every symbol is one character, and a Born probability takes
-its matrices from the flattened stack by one take.
+Born probability multiplies its string's site matrices pairwise, in
+ceil(log2 n) levels. On first use a model caches a block table, the
+products of every 2**L consecutive padded site matrices under every
+choice of their symbols, made by the tree's own lower L levels, with L
+as large as keeps it within 32 KB per padded site; a call then gathers
+one block product per block and multiplies only the levels above L. The
+per-chain work between the products is 1-D as well: the sampler keeps
+one running-sum column per symbol and takes each chain's branch by flat
+row, its draws become lines through a fixed-width string view when
+every symbol is one character, and a Born probability takes its block
+products from the flattened table by one take.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -34,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +80,10 @@ SAMPLE_BLOCK = 1024
 # pairwise product was the faster at every B <= 16 for n = 8, 20, 64 and 200
 # (15.8 against 20.2 us at n = 20, B = 16) and the slower from B = 20 at
 # n = 8 and 20; at n = 4 the two tie, near 5 us. The stack, (P, d, B, B)
-# with P < 2n and d <= B, then holds at most 32 KB per site.
+# with P < 2n and d <= B, then holds at most 32 KB per site, and that
+# bound, BORN_STACK_WIDTH**3 floats per padded site, caps the block table
+# merged from it too: 32 KB for the whole table of an n = 20, chi = 2 bit
+# model, whose blocks are 8 sites.
 BORN_STACK_WIDTH = 16
 ZERO_NORM = 1e-10  # train refuses a residual map whose norm is below this
 MAX_OUTCOMES = 2**22  # distribution_table enumerates at most this many sequences
@@ -101,9 +107,9 @@ class MatrixProductState:
     alphabet names the physical basis states; it defaults to the index
     strings "0", ..., "d-1", which are the bits when d = 2.
 
-    born_stack caches born_probability's padded site matrices. It is built
-    on first use, read-only, and takes no part in repr or pickling; == and
-    hash are identity.
+    born_stack caches born_probability's block table (see _born_table). It
+    is built on first use, read-only, and takes no part in repr or
+    pickling; == and hash are identity.
     """
 
     n: int
@@ -240,11 +246,15 @@ def step_density(ds: SequenceDataset, cfg: TrainConfig, site: int) -> np.ndarray
 
 
 def _indices(m: MatrixProductState, s) -> list[int]:
-    tokens = line_tokens(s.strip()) if isinstance(s, str) else tuple(s)
+    """The alphabet index of each token of s; non-string tokens are looked up by str()."""
+    if isinstance(s, str):
+        tokens = line_tokens(s.strip())
+    else:
+        tokens = [t if isinstance(t, str) else str(t) for t in s]
     if len(tokens) != m.n:
         raise ValueError(f"sequence length {len(tokens)} does not match model n={m.n}")
     try:
-        return [m.alphabet.positions[str(t)] for t in tokens]
+        return list(map(m.alphabet.positions.__getitem__, tokens))
     except KeyError as exc:
         raise ValueError(f"token {exc.args[0]!r} is not in the model's alphabet") from None
 
@@ -255,18 +265,40 @@ def _born_stack(m: MatrixProductState) -> np.ndarray | None:
     B is the widest bond and P is n rounded up to a power of two. stack[k, p]
     is tensors[k][:, p, :] zero-padded to B x B, so products of padded
     matrices carry the true ones in their top-left corners; the P - n pad
-    sites hold the identity under every symbol. Built once per model.
+    sites hold the identity under every symbol.
+    """
+    bond = max(m.bond_dims)
+    if bond > BORN_STACK_WIDTH:
+        return None
+    stack = np.zeros((1 << (m.n - 1).bit_length(), m.physical_dim, bond, bond))
+    stack[m.n :] = np.eye(bond)
+    for k, t in enumerate(m.tensors):
+        stack[k, :, : t.shape[0], : t.shape[2]] = t.transpose(1, 0, 2)
+    return stack
+
+
+def _born_table(m: MatrixProductState) -> np.ndarray | None:
+    """The model's block table, (P / w, d**w, B, B); None when B > BORN_STACK_WIDTH.
+
+    table[j, c] is the product of the padded matrices of sites j * w to
+    j * w + w - 1 under the symbols whose base-d digits, most significant
+    first, are c. It starts as _born_stack, w = 1, and doubles w by the
+    pairwise products tab[0::2][:, :, None] @ tab[1::2][:, None, :], the
+    products born_probability's tree would make, while the next level
+    holds at most P * BORN_STACK_WIDTH**3 floats. Built once per model, on
+    first use, and read-only.
     """
     if m.born_stack is None:
-        bond = max(m.bond_dims)
-        if bond > BORN_STACK_WIDTH:
+        table = _born_stack(m)
+        if table is None:
             return None
-        stack = np.zeros((1 << (m.n - 1).bit_length(), m.physical_dim, bond, bond))
-        stack[m.n :] = np.eye(bond)
-        for k, t in enumerate(m.tensors):
-            stack[k, :, : t.shape[0], : t.shape[2]] = t.transpose(1, 0, 2)
-        stack.flags.writeable = False
-        object.__setattr__(m, "born_stack", stack)
+        limit = len(table) * BORN_STACK_WIDTH**3
+        while len(table) > 1 and table.size * table.shape[1] <= 2 * limit:
+            blocks, combos, bond, _ = table.shape
+            pairs = table[0::2][:, :, None] @ table[1::2][:, None, :]
+            table = pairs.reshape(blocks // 2, combos * combos, bond, bond)
+        table.flags.writeable = False
+        object.__setattr__(m, "born_stack", table)
     return m.born_stack
 
 
@@ -277,24 +309,36 @@ def born_probability(m: MatrixProductState, s) -> float:
     a bit model may be ints), or a string read the way a dataset line is:
     tokens separated by spaces, or one token per character.
 
-    One take of the flat rows p * d + symbol, from the model's cached stack
-    (see _born_stack) viewed as P * d matrices, gathers the string's
-    matrices, and pairwise products, mats[0::2] @ mats[1::2],
-    multiply them in log2 P levels, 5 for n = 20; the amplitude is the
-    product's top-left entry. Models wider than BORN_STACK_WIDTH contract
-    left to right instead, one vector-matrix product per site.
+    The first call on a model builds its block table (see _born_table):
+    the products of every w consecutive padded site matrices under every
+    choice of their symbols, w the widest power of two that keeps the
+    table within P * BORN_STACK_WIDTH**3 floats, P the length rounded up
+    to a power of two. One take of the flat rows j * d**w + c, c the
+    symbols of block j read as a base-d number and pad sites taking symbol
+    0, gathers the string's P / w block products, and pairwise products,
+    mats[0::2] @ mats[1::2], multiply them in the log2(P / w) levels left
+    of the log2 P-level tree: 2 of 5 for the n = 20 bit models of chi 2.
+    The amplitude is the product's top-left entry, the same float the full
+    tree over the site matrices gives. Models wider than BORN_STACK_WIDTH
+    contract left to right instead, one vector-matrix product per site.
     """
     indices = _indices(m, s)
-    stack = _born_stack(m)
-    if stack is None:
+    table = _born_table(m)
+    if table is None:
         vec = np.ones(1)
         for tensor, i in zip(m.tensors, indices):
             vec = vec @ tensor[:, i, :]
         return float(vec[0] ** 2)
-    depth, d, bond, _ = stack.shape
-    keys = np.arange(0, depth * d, d)  # flat row p * d + symbol; pad sites take symbol 0
-    keys[: m.n] += indices
-    mats = stack.reshape(depth * d, bond, bond).take(keys, axis=0)
+    blocks, combos, bond, _ = table.shape
+    width, d = (1 << (m.n - 1).bit_length()) // blocks, m.physical_dim
+    indices += [0] * (blocks * width - m.n)  # pad sites take symbol 0
+    keys = []
+    for j in range(blocks):
+        key = j  # folding the block's symbols in makes it j * combos + c
+        for i in indices[j * width : j * width + width]:
+            key = key * d + i
+        keys.append(key)
+    mats = table.reshape(blocks * combos, bond, bond).take(keys, axis=0)
     while len(mats) > 1:
         mats = mats[0::2] @ mats[1::2]
     return float(mats[0, 0, 0] ** 2)
@@ -562,6 +606,9 @@ def run_experiment(
     ]
     workers = min(_max_workers(), len(tasks))
     if workers > 1:
+        # imported here: the pool's modules add about 18 ms to every command's start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_experiment_cell, tasks))
     return [_experiment_cell(t) for t in tasks]

@@ -519,3 +519,15 @@ class TestParity:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert message in result.stderr and "fit in memory" in result.stderr
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # run_experiment imports the pool only when it runs more than one worker
+    src = str(Path(qdensity.__file__).parents[1])
+    code = "import sys, qdensity.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

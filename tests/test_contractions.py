@@ -1,6 +1,6 @@
 """The contractions against their oracles: ancestral draws against the
 one-site-at-a-time einsum sampler, and Born probabilities, from the cached
-stack of padded site matrices or left to right, against distribution_table."""
+table of block products or left to right, against distribution_table."""
 
 import itertools
 import pickle
@@ -155,9 +155,9 @@ class TestParentOracles:
 def left_canonical_model(n: int, d: int, chi: int, scale: float, seed: int) -> MatrixProductState:
     """Random isometries, so every right environment has trace scale**2, and
     a last tensor of norm scale. A chain's unrescaled weights are about
-    scale**2 times its prefix's probability."""
+    scale**2 times its prefix's probability. Bonds are d, then min(d**k, chi)."""
     rng = np.random.default_rng(seed)
-    bonds = [1, d] + [chi] * (n - 2) + [1]
+    bonds = [1, d] + [min(d**k, chi) for k in range(2, n)] + [1]
     tensors = [np.eye(d).reshape(1, d, d)]
     for k in range(1, n - 1):
         q, _ = np.linalg.qr(rng.standard_normal((bonds[k] * d, bonds[k + 1])))
@@ -226,8 +226,7 @@ class TestBornOracle:
     )
     def test_stack_layout(self, n, depth):
         m = mps.parity_target(n)
-        mps.born_probability(m, "0" * n)
-        stack = m.born_stack
+        stack = mps._born_stack(m)
         assert stack.shape == (depth, 2, 2, 2)
         for k, t in enumerate(m.tensors):
             l, _, r = t.shape
@@ -242,7 +241,7 @@ class TestBornStackCache:
         twin = MatrixProductState(m.n, m.physical_dim, m.tensors, m.alphabet)
         before = (repr(m), hash(m), pickle.dumps(m))
         first = mps.born_probability(m, "011000110")
-        assert m.born_stack is not None
+        assert m.born_stack.shape == (2, 256, 3, 3)  # merged: two blocks of 8 sites
         assert (repr(m), hash(m), pickle.dumps(m)) == before
         assert repr(m) == repr(twin) and m == m and m != twin
         back = pickle.loads(pickle.dumps(m))
@@ -253,8 +252,100 @@ class TestBornStackCache:
     def test_tensors_and_stack_stay_read_only(self):
         m = mps.parity_target(6)
         mps.born_probability(m, "011000")
+        assert m.born_stack.shape == (1, 256, 2, 2)  # one block of the whole padded string
+        assert mps._born_table(m) is m.born_stack
         assert all(not t.flags.writeable for t in m.tensors)
         with pytest.raises(ValueError):
             m.born_stack[0, 0, 0, 0] = 2.0
         with pytest.raises(ValueError):
             m.tensors[1][0, 0, 0] = 2.0
+
+
+# (n, d, widest bond): the tables have blocks of 8 sites at d = 2 and of 4 at
+# d = 3 and 5, save at n = 3, one block of 4; so n = 3, 9 and 13 are no
+# multiple of the width, nor is 20 at d = 2. At bond 16, d = 2 merges to
+# blocks of 4 and d = 6 stays at the per-site stack.
+BLOCK_CASES = [(n, d, 4) for n in (3, 9, 13, 20) for d in (2, 3, 5)] + [(13, 2, 16), (6, 6, 16)]
+
+
+def block_case(n: int, d: int, bond: int) -> MatrixProductState:
+    return left_canonical_model(n, d, bond, 1.0, seed=1600 + 7 * n + d)
+
+
+def case_codes(m: MatrixProductState) -> np.ndarray:
+    """Every string when there are at most 4096, else 300 seeded ones, as index rows."""
+    d, n = m.physical_dim, m.n
+    if d**n <= 4096:
+        return np.array(list(itertools.product(range(d), repeat=n)))
+    return np.random.default_rng(d * n).integers(d, size=(300, n))
+
+
+def tree_product(mats: np.ndarray) -> np.ndarray:
+    while len(mats) > 1:
+        mats = mats[0::2] @ mats[1::2]
+    return mats[0]
+
+
+class TestBornBlockTable:
+    """born_probability from the cached block products, float for float against
+    the parent's full pairwise tree and within rounding of distribution_table."""
+
+    @pytest.mark.parametrize("width", [mps.BORN_STACK_WIDTH, 0])
+    @pytest.mark.parametrize("n, d, bond", BLOCK_CASES)
+    def test_probabilities_equal_the_parent_and_the_table(self, n, d, bond, width, monkeypatch):
+        monkeypatch.setattr(mps, "BORN_STACK_WIDTH", width)
+        m, twin = block_case(n, d, bond), block_case(n, d, bond)
+        codes = case_codes(m)
+        lines = lines_of(m, codes)
+        born = [mps.born_probability(m, s) for s in lines]
+        assert born == [parent_born_probability(twin, s) for s in lines]
+        assert (m.born_stack is None) == (width == 0)
+        if d**n <= mps.MAX_OUTCOMES:
+            table = mps.distribution_table(m)[codes @ d ** np.arange(n - 1, -1, -1)]
+            assert np.all(np.abs(np.array(born) - table) <= np.maximum(1e-13 * table, 1e-15))
+
+    @pytest.mark.parametrize("n, d, bond", BLOCK_CASES)
+    def test_table_holds_the_trees_block_products(self, n, d, bond):
+        m = block_case(n, d, bond)
+        stack = mps._born_stack(m)
+        table = mps._born_table(m)
+        depth = len(stack)
+        blocks, combos = table.shape[:2]
+        width = depth // blocks
+        assert table.shape == (blocks, d**width) + stack.shape[2:] and blocks * width == depth
+        # the byte rule: within P * BORN_STACK_WIDTH**3 floats, and the next level beyond it
+        limit = depth * mps.BORN_STACK_WIDTH**3
+        assert table.size <= limit
+        assert blocks == 1 or table.size * combos // 2 > limit
+        rng = np.random.default_rng(n * d)
+        for j in range(blocks):
+            for c in rng.choice(combos, size=min(combos, 40), replace=False):
+                digits = np.unravel_index(c, (d,) * width)
+                mats = stack[np.arange(j * width, j * width + width), digits]
+                assert table[j, c].tobytes() == tree_product(mats).tobytes()
+
+    def test_width_at_the_benchmark_shape(self):
+        # an n = 20 bit model of chi 2: 4 blocks of 8 sites, 1024 rows, 32 KB
+        m = mps.train(mps.draw_even_subset(20, 2000, 1), TrainConfig(chi=2))
+        mps.born_probability(m, "0" * 20)
+        assert m.born_stack.shape == (4, 256, 2, 2) and m.born_stack.nbytes == 32768
+
+    def test_int_tokens_on_a_bit_model(self):
+        m = block_case(13, 2, 4)
+        bits = (0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1)
+        assert mps.born_probability(m, bits) == mps.born_probability(m, "0110100011101")
+        assert mps.born_probability(m, bits) == mps.born_probability(m, [str(b) for b in bits])
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ("01", "sequence length 2 does not match model n=5"),
+            ((0, 1, 1), "sequence length 3 does not match model n=5"),
+            ("01201", "token '2' is not in the model's alphabet"),
+            ((0, 1, 2, 0, 1), "token '2' is not in the model's alphabet"),
+            ("0 1 x 0 1", "token 'x' is not in the model's alphabet"),
+        ],
+    )
+    def test_messages_are_unchanged(self, s, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mps.born_probability(mps.parity_target(5), s)

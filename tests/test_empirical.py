@@ -277,9 +277,17 @@ class TestSummarizerAngles:
         theta, _ = summarizer_angles(parity_graph(ds))
         assert theta == 0.0
 
+    def test_no_shared_suffix_smaller_first_degree_gives_quarter_turn(self):
+        # the even block is [[1, 0], [0, 2]]: its top eigenvector is (0, 1)
+        ds = parse_dataset(["00000", "11011", "11101", "01001"])
+        theta, _ = summarizer_angles(parity_graph(ds))
+        assert theta == math.pi / 2
+
     def test_eigenvector_matches_angle(self):
         rng = np.random.default_rng(53)
         from qdensity import linalg
+
+        checked = set()
 
         for _ in range(10):
             n_samp = int(rng.integers(6, 30))
@@ -291,12 +299,14 @@ class TestSummarizerAngles:
             g = parity_graph(ds)
             theta, phi = summarizer_angles(g)
             rho = graph_reduced_density(g, "prefix").matrix
-            if theta > 0:
-                top = linalg.sym_eigen(rho[:2, :2]).eigenvectors[:, 0]
-                assert np.max(np.abs(top - [math.cos(theta), math.sin(theta)])) < 1e-10
-            if phi > 0:
-                top = linalg.sym_eigen(rho[2:, 2:]).eigenvectors[:, 0]
-                assert np.max(np.abs(top - [math.cos(phi), math.sin(phi)])) < 1e-10
+            for angle, block in ((theta, rho[:2, :2]), (phi, rho[2:, 2:])):
+                if block[0, 1] == 0 and block[0, 0] == block[1, 1]:
+                    continue  # an exact tie: no single top eigenvector
+                top = linalg.sym_eigen(block).eigenvectors[:, 0]
+                assert np.max(np.abs(top - [math.cos(angle), math.sin(angle)])) < 1e-10
+                checked.add("0" if angle == 0 else "pi/2" if angle == math.pi / 2 else "between")
+        # diagonal blocks with either degree the larger were among those checked
+        assert checked == {"0", "pi/2", "between"}
 
     def test_requires_parity_basis(self):
         # first-appearance order (01, 10, 00) is not the parity basis
