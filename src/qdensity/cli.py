@@ -1,17 +1,22 @@
 """Command-line surface: reduce, concepts, entail, and the parity pipeline.
 
 Results go to stdout or the --out file as JSON/CSV with pinned float
-formatting; errors go to stderr with a nonzero exit code. Every subcommand
-is deterministic given its flags and seeds.
+formatting. Every subcommand is deterministic given its flags and seeds.
+Errors go to stderr as one "Error: ..." line with exit status 1: the
+readers name the file and line they refuse, and any ValueError the library
+raises on input it refuses is reported the same way, by the command
+group's one handler, never as a traceback.
 """
 
 from __future__ import annotations
+
+import math
 
 import click
 import numpy as np
 
 from . import entailment, fca, mps, qprob
-from ._format import csv_row, dumps, format_float
+from ._format import csv_row, dumps
 from .empirical import empirical_distribution, parse_dataset
 from .qprob import Alphabet, JointDistribution
 
@@ -75,6 +80,8 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         try:
             p = float(p_str)
         except ValueError:
+            p = math.nan
+        if not math.isfinite(p):
             raise _fail(f"{path}: line {lineno}: bad probability {p_str!r}")
         if p < 0:
             raise _fail(f"{path}: line {lineno}: negative probability {p_str}")
@@ -90,23 +97,33 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         missing = set(x_alpha) - set(xs) | set(y_alpha) - set(ys)
         if missing:
             raise _fail(f"ordering file omits symbols: {sorted(missing)}")
-        try:
-            x_order, y_order = Alphabet(xs), Alphabet(ys)
-        except ValueError as exc:
-            raise _fail(str(exc))
+        x_order, y_order = Alphabet(xs), Alphabet(ys)
         x_codes = x_order.encode(x_alpha)[x_codes]
         y_codes = y_order.encode(y_alpha)[y_codes]
         x_alpha, y_alpha = x_order, y_order
-    table = np.zeros((len(x_alpha), len(y_alpha)))
-    table[x_codes, y_codes] = list(entries.values())
-    total = float(table.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise _fail(f"{path}: probabilities sum to {format_float(total)}, expected 1")
-    table /= total  # absorb float dust so the strict table invariant holds
-    return JointDistribution(x_alpha, y_alpha, table)
+    try:
+        qprob._product_size(x_alpha, y_alpha)  # before the table is allocated
+        table = np.zeros((len(x_alpha), len(y_alpha)))
+        table[x_codes, y_codes] = list(entries.values())
+        total = float(table.sum())
+        qprob._unit_total(total, "probabilities sum to", 1e-9)
+        table /= total  # absorb float dust so the strict table invariant holds
+        return JointDistribution(x_alpha, y_alpha, table)
+    except ValueError as exc:
+        raise _fail(f"{path}: {exc}")
 
 
-@click.group()
+class _Group(click.Group):
+    """A command group that reports a ValueError from any of its commands as an error line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise _fail(str(exc))
+
+
+@click.group(cls=_Group)
 def main():
     """Model joint distributions as pure states and work with the fallout."""
 
@@ -134,11 +151,7 @@ def cmd_reduce(input_path, cut, order, out):
             raise _fail("dataset input needs --cut")
         if order is not None:
             raise _fail("--order applies to a distribution CSV, not to dataset input")
-        try:
-            ds = _decoded(input_path, parse_dataset)
-            pi = empirical_distribution(ds, cut)
-        except ValueError as exc:
-            raise _fail(str(exc))
+        pi = empirical_distribution(_decoded(input_path, parse_dataset), cut)
     psi = qprob.build_state(pi)
     rho_x = qprob.reduced_via_gram(psi, "X")
     rho_y = qprob.reduced_via_gram(psi, "Y")
@@ -182,10 +195,7 @@ def _load_relation_csv(path) -> fca.Relation:
 def cmd_concepts(relation_path, compare_eigen, out):
     """Formal concepts of a relation CSV (header x,y; one pair per row)."""
     relation = _load_relation_csv(relation_path)
-    try:
-        concepts = fca.formal_concepts(relation)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    concepts = fca.formal_concepts(relation)
     result = {
         "x_alphabet": list(relation.x_alphabet),
         "y_alphabet": list(relation.y_alphabet),
@@ -238,18 +248,12 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
     probability of --against given --pattern whenever the former refines
     the latter.
     """
-    try:
-        cs = entailment.CorpusState.from_dataset(_decoded(corpus_path, parse_dataset))
-    except ValueError as exc:
-        raise _fail(str(exc))
+    cs = entailment.CorpusState.from_dataset(_decoded(corpus_path, parse_dataset))
     pat = _parse_pattern(pattern)
     ref = _parse_pattern(against)
     normalized = not unnormalized
-    try:
-        dens_pat = entailment.pattern_density(cs, pat, normalized=normalized)
-        dens_ref = entailment.pattern_density(cs, ref, normalized=normalized)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    dens_pat = entailment.pattern_density(cs, pat, normalized=normalized)
+    dens_ref = entailment.pattern_density(cs, ref, normalized=normalized)
     if normalized and _refines(ref, pat):
         scale = dens_ref.weight / dens_pat.weight
     else:
@@ -266,7 +270,7 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
         "against_weight": dens_ref.weight,
         "scale": float(scale),
         "difference_min_eigenvalue": min_eig,
-        "entails": min_eig >= -entailment.PSD_TOL,
+        "entails": min_eig >= -qprob.DENSITY_TOL,
     }
     _emit(dumps(result), out)
 
@@ -306,8 +310,6 @@ def parity_train(n, fraction, data, chi, seed, model_path):
         else:
             ds = mps.draw_even_subset(n, mps.even_subset_count(n, fraction), seed)
         model = mps.train(ds, mps.TrainConfig(chi=chi))
-    except ValueError as exc:
-        raise _fail(str(exc))
     except MemoryError:
         what = data or f"a draw of {mps.even_subset_count(n, fraction)} samples"
         raise _fail(f"training on {what} does not fit in memory")
@@ -326,10 +328,7 @@ def parity_eval(model_path, out):
     distance of the two Born distributions only when the model's amplitudes
     on the even strings are nonnegative.
     """
-    try:
-        model = mps.load_model(model_path)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    model = mps.load_model(model_path)
     try:
         overlap = mps.inner_product(model, mps.parity_target(model.n))
     except ValueError as exc:
@@ -350,11 +349,7 @@ def parity_eval(model_path, out):
 @click.option("--out", "-o", type=click.Path(dir_okay=False), default=None)
 def parity_sample(model_path, count, seed, out):
     """Draw sequences from a saved model, one per line."""
-    try:
-        model = mps.load_model(model_path)
-        lines = mps.sample(model, count, seed)
-    except ValueError as exc:
-        raise _fail(str(exc))
+    lines = mps.sample(mps.load_model(model_path), count, seed)
     _emit("\n".join(lines), out)
 
 
@@ -370,8 +365,6 @@ def parity_experiment(n, fractions, replicas, seed, chi, out):
     fracs = _parse_fractions(fractions)
     try:
         rows = mps.run_experiment(n, fracs, replicas, seed, mps.TrainConfig(chi=chi))
-    except ValueError as exc:
-        raise _fail(str(exc))
     except MemoryError:
         largest = mps.even_subset_count(n, max(fracs))
         raise _fail(f"draws of up to {largest} samples do not fit in memory")

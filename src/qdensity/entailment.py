@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .empirical import SequenceDataset, _decode, _labels, cut_counts
-from .qprob import Alphabet, _readonly
+from .qprob import DENSITY_TOL, Alphabet, _readonly
 
 __all__ = [
     "CorpusState",
@@ -32,9 +32,6 @@ __all__ = [
     "loewner_geq",
     "difference_min_eigenvalue",
 ]
-
-PSD_TOL = 1e-10
-
 
 class PatternUnobservedError(ValueError):
     """No observed prefix matches the pattern."""
@@ -93,10 +90,10 @@ class EntailmentDensity:
         mat = _readonly(self.matrix)
         if not 0.0 <= self.weight <= 1.0 + 1e-12:
             raise ValueError(f"weight {self.weight!r} outside [0, 1]")
-        if not linalg.is_psd(mat, PSD_TOL):
+        if not linalg.is_psd(mat, DENSITY_TOL):
             raise ValueError("entailment density must be positive semidefinite")
         expected = 1.0 if self.normalized else self.weight
-        if abs(float(np.trace(mat)) - expected) > PSD_TOL:
+        if abs(float(np.trace(mat)) - expected) > DENSITY_TOL:
             raise ValueError("trace does not match the declared normalization")
         object.__setattr__(self, "matrix", mat)
 
@@ -165,8 +162,8 @@ def decompose(
 
 
 def loewner_geq(a: EntailmentDensity, b: EntailmentDensity, scale: float = 1.0) -> bool:
-    """True iff a.matrix - scale * b.matrix is positive semidefinite within PSD_TOL."""
-    return difference_min_eigenvalue(a, b, scale) >= -PSD_TOL
+    """True iff a.matrix - scale * b.matrix is positive semidefinite within DENSITY_TOL."""
+    return difference_min_eigenvalue(a, b, scale) >= -DENSITY_TOL
 
 
 def difference_min_eigenvalue(
@@ -181,4 +178,5 @@ def difference_min_eigenvalue(
         raise ValueError("entailment densities live on different suffix bases")
     if not (math.isfinite(scale) and scale >= 0):
         raise ValueError(f"scale must be finite and nonnegative, got {scale!r}")
-    return float(np.linalg.eigvalsh(a.matrix - scale * b.matrix)[0])
+    # each matrix passed is_psd, so the difference is finite and symmetric up to rounding
+    return linalg.min_eigenvalue(a.matrix - scale * b.matrix)

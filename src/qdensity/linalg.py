@@ -1,6 +1,7 @@
 """Dense real linear algebra kernel.
 
-Symmetric eigendecomposition, singular value decomposition and PSD testing.
+Symmetric eigendecomposition, singular value decomposition, the smallest
+eigenvalue and PSD testing.
 Everything here is deterministic: a fixed sign convention and a fixed
 tie-breaking rule make repeated calls on identical input bit-identical.
 """
@@ -17,6 +18,7 @@ __all__ = [
     "sym_eigen",
     "svd",
     "is_psd",
+    "min_eigenvalue",
 ]
 
 # Below this, a coordinate does not count as the "first nonzero" of a vector.
@@ -120,9 +122,15 @@ def svd(m) -> Svd:
     return Svd(np.ascontiguousarray(u), s, np.ascontiguousarray(v))
 
 
+def min_eigenvalue(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a square float matrix, inf when it is empty.
+
+    eigvalsh reads only the lower triangle, so a is taken as symmetric:
+    callers check that, or build a from matrices already checked.
+    """
+    return float(np.linalg.eigvalsh(a)[0]) if len(a) else np.inf
+
+
 def is_psd(m, tol: float) -> bool:
     """True iff the smallest eigenvalue of the symmetric matrix m is >= -tol."""
-    a = _as_symmetric(m)
-    if a.size == 0:
-        return True
-    return bool(np.linalg.eigvalsh(a)[0] >= -tol)
+    return min_eigenvalue(_as_symmetric(m)) >= -tol

@@ -45,7 +45,7 @@ import numpy as np
 from . import linalg
 from ._format import dumps
 from .empirical import SequenceDataset, _suffix_ranks, line_tokens
-from .qprob import Alphabet, _readonly
+from .qprob import Alphabet, _readonly, _unit_total
 
 __all__ = [
     "TrainConfig",
@@ -102,7 +102,7 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class MatrixProductState:
-    """Chain of order-3 tensors with matching bond dimensions.
+    """Chain of order-3 tensors with finite entries and matching bond dimensions.
 
     alphabet names the physical basis states; it defaults to the index
     strings "0", ..., "d-1", which are the bits when d = 2.
@@ -138,6 +138,9 @@ class MatrixProductState:
                 raise ValueError(f"bond mismatch between tensors {k - 1} and {k}")
         if tensors[-1].shape[2] != 1:
             raise ValueError("last tensor must close with a bond of size 1")
+        # one check over all entries: a call per tensor cost half the constructor again
+        if not np.isfinite(np.concatenate([t.ravel() for t in tensors])).all():
+            raise ValueError("tensor entries must be finite")
         object.__setattr__(self, "tensors", tuple(map(_readonly, tensors)))
 
     def __getstate__(self):
@@ -404,9 +407,7 @@ def bhattacharyya(p, q) -> float:
     for name, arr in (("p", pa), ("q", qa)):
         if np.any(arr < -1e-12):
             raise ValueError(f"{name} has a negative probability")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"{name} sums to {total!r}, expected 1")
+        _unit_total(float(arr.sum()), f"{name} sums to", 1e-8)
     return overlap_distance(float(np.sqrt(np.clip(pa, 0, None) * np.clip(qa, 0, None)).sum()))
 
 

@@ -58,6 +58,20 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _unit_total(total: float, what: str, tol: float) -> None:
+    """ValueError "{what} {total!r}, expected 1" unless total is within tol of 1; NaN never is."""
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"{what} {total!r}, expected 1")
+
+
+def _product_size(x: Alphabet, y: Alphabet) -> int:
+    """|x| * |y|, the entries of a table over x and y; ValueError above MAX_PRODUCT_DIM."""
+    size = len(x) * len(y)
+    if size > MAX_PRODUCT_DIM:
+        raise ValueError(f"product space of {size} entries exceeds the supported {MAX_PRODUCT_DIM}")
+    return size
+
+
 def _table(values, x: Alphabet, y: Alphabet, what: str, dtype=float) -> np.ndarray:
     """A read-only copy of values, checked to have one row per x and one column per y symbol."""
     table, shape = _readonly(values, dtype), (len(x), len(y))
@@ -137,15 +151,10 @@ class JointDistribution:
 
     def __post_init__(self):
         table = _table(self.probs, self.x_alphabet, self.y_alphabet, "probability table")
-        if table.size > MAX_PRODUCT_DIM:
-            raise ValueError(
-                f"product space of {table.size} entries exceeds the supported {MAX_PRODUCT_DIM}"
-            )
+        _product_size(self.x_alphabet, self.y_alphabet)
         if np.any(table < 0):
             raise ValueError("probabilities must be nonnegative")
-        total = float(table.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        _unit_total(float(table.sum()), "probabilities sum to", NORM_TOL)
         object.__setattr__(self, "probs", table)
 
 
@@ -164,9 +173,7 @@ class PureState:
 
     def __post_init__(self):
         table = _table(self.amplitudes, self.x_alphabet, self.y_alphabet, "amplitude table")
-        sq = float((table**2).sum())
-        if abs(sq - 1.0) > NORM_TOL:
-            raise ValueError(f"squared amplitudes sum to {sq!r}, expected 1")
+        _unit_total(float((table**2).sum()), "squared amplitudes sum to", NORM_TOL)
         object.__setattr__(self, "amplitudes", table)
 
     @property
@@ -183,8 +190,9 @@ class PureState:
 class DensityMatrix:
     """Symmetric PSD matrix with unit trace over a declared basis.
 
-    Construction checks symmetry and trace; use from_matrix to also verify
-    positive semidefiniteness of matrices from untrusted sources.
+    Construction checks that the entries are finite, symmetric and of unit
+    trace within DENSITY_TOL; use from_matrix to also verify positive
+    semidefiniteness of matrices from untrusted sources.
     """
 
     basis: Alphabet | ProductBasis
@@ -195,11 +203,8 @@ class DensityMatrix:
         dim = len(self.basis)
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match basis size {dim}")
-        if np.max(np.abs(mat - mat.T)) > DENSITY_TOL:
-            raise ValueError("density matrix must be symmetric")
-        tr = float(np.trace(mat))
-        if abs(tr - 1.0) > DENSITY_TOL:
-            raise ValueError(f"density matrix has trace {tr!r}, expected 1")
+        linalg._as_symmetric(mat, DENSITY_TOL)
+        _unit_total(float(np.trace(mat)), "density matrix has trace", DENSITY_TOL)
         object.__setattr__(self, "matrix", _readonly(mat))
 
     @classmethod
@@ -227,9 +232,7 @@ class SchmidtData:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
-        sq = float((coeffs**2).sum())
-        if abs(sq - 1.0) > DENSITY_TOL:
-            raise ValueError(f"squared Schmidt coefficients sum to {sq!r}, expected 1")
+        _unit_total(float((coeffs**2).sum()), "squared Schmidt coefficients sum to", DENSITY_TOL)
         object.__setattr__(self, "coefficients", _readonly(coeffs))
         object.__setattr__(self, "x_vectors", _readonly(self.x_vectors))
         object.__setattr__(self, "y_vectors", _readonly(self.y_vectors))
@@ -254,10 +257,7 @@ def density_diag(pi: JointDistribution) -> DensityMatrix:
 
 def density_projection(psi: PureState) -> DensityMatrix:
     """Rank-one density projecting onto the state vector."""
-    v = psi.vector
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state has norm {norm!r}, expected 1")
+    v = psi.vector  # unit norm: PureState holds its squared amplitudes' sum within 1e-12 of 1
     return DensityMatrix(ProductBasis(psi.x_alphabet, psi.y_alphabet), np.outer(v, v))
 
 
@@ -307,10 +307,7 @@ def born_distribution(rho: DensityMatrix) -> np.ndarray:
     diag = np.diag(rho.matrix).copy()
     if np.any(diag < -1e-12):
         raise ValueError("density diagonal has a negative entry")
-    total = float(diag.sum())
-    if abs(total - 1.0) > DENSITY_TOL:
-        raise ValueError(f"density diagonal sums to {total!r}, expected 1")
-    return diag
+    return diag  # sums to 1 within DENSITY_TOL: a DensityMatrix holds its trace so
 
 
 def marginalize(pi: JointDistribution, keep: str) -> np.ndarray:

@@ -169,6 +169,10 @@ class TestDistributionCsvErrors:
             # two bad lines: the first is reported
             ("x,y,p\na,u,x\nb,v\n", None, "line 2: bad probability 'x'"),
             ("x,y,p\na,u,0.5\na,u,0.5\nb,v,-1\n", None, "line 3: duplicate pair (a, u)"),
+            # a probability must be finite, and a sign does not make an infinity negative
+            ("x,y,p\na,x,nan\na,y,1.0\n", None, "line 2: bad probability 'nan'"),
+            ("x,y,p\na,x,inf\na,y,1.0\n", None, "line 2: bad probability 'inf'"),
+            ("x,y,p\na,x,-inf\na,y,1.0\n", None, "line 2: bad probability '-inf'"),
         ],
     )
     def test_message_and_exit_code(self, runner, tmp_path, text, order, message):
@@ -226,6 +230,19 @@ class TestDistributionCsvErrors:
             in result.output
         )
         assert not model.exists()
+
+    def test_oversized_product_is_reported_with_the_file(self, runner, tmp_path):
+        # 1100 x symbols by 1000 y symbols: checked before the table is allocated
+        path = tmp_path / "d.csv"
+        rows = (f"x{i},y{i % 1000},{1 / 1100!r}\n" for i in range(1100))
+        path.write_text("x,y,p\n" + "".join(rows))
+        result = runner.invoke(main, ["reduce", str(path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (
+            f"Error: {path}: product space of 1100000 entries exceeds the supported 1048576\n"
+            in result.output
+        )
 
     def test_non_utf8_order_file_is_reported(self, runner, tmp_path):
         path, order = tmp_path / "d.csv", tmp_path / "order.txt"
@@ -487,6 +504,19 @@ class TestParity:
         assert f"Error: bad model file {bad}: " in result.output
         assert reason in result.output
 
+    @pytest.mark.parametrize("command", [["eval"], ["sample", "--count", "3"]])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_model_file_is_refused(self, runner, tmp_path, command, value):
+        model = tmp_path / "m.json"
+        invoke(runner, ["parity", "train", "--n", "6", "--fraction", "0.5", "--model", str(model)])
+        payload = json.loads(model.read_text())
+        payload["tensors"][-1][0][0][0] = value
+        model.write_text(json.dumps(payload))  # json writes the tokens NaN and Infinity
+        result = runner.invoke(main, ["parity", command[0], "--model", str(model), *command[1:]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: bad model file {model}: tensor entries must be finite\n" in result.output
+
     def test_eval_rejects_non_bit_model(self, runner, tmp_path):
         path = tmp_path / "ab.txt"
         path.write_text("a b a b\nb b a a\n")
@@ -519,6 +549,43 @@ class TestParity:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert message in result.stderr and "fit in memory" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["reduce", "{corpus}", "--cut", "3"], "cut must lie in [1, 2], got 3"),
+        (["concepts", "{identity}"], "relation sides 25x25 exceed the enumeration limit 24"),
+        (
+            ["entail", "{corpus}", "--pattern", "1=huge", "--against", "1=small"],
+            "pattern unobserved: {{1: 'huge'}}",  # format() unescapes the braces
+        ),
+        (
+            ["parity", "train", "--n", "6", "--fraction", "0.5", "--chi", "0", "--model", "{out}"],
+            "chi must be at least 1",
+        ),
+        (["parity", "eval", "--model", "{short}"], "bad model file {short}: expected 3 tensors, got 0"),
+        (["parity", "sample", "--model", "{model}", "--count", "-1"], "count must be nonnegative"),
+        (
+            ["parity", "experiment", "--n", "6", "--fractions", "2.0", "--replicas", "1"],
+            "fraction 2.0 outside (0, 1]",
+        ),
+    ],
+    ids=["reduce", "concepts", "entail", "train", "eval", "sample", "experiment"],
+)
+def test_library_value_error_is_an_error_line(runner, tmp_path, args, message):
+    # each command leaves the library's ValueError to the command group's one handler
+    paths = {name: tmp_path / name for name in ("corpus", "identity", "short", "model", "out")}
+    paths["corpus"].write_text("small ripe fruit\nlarge ripe fruit\nsmall green vegetable\n")
+    paths["identity"].write_text("x,y\n" + "".join(f"x{i},y{i}\n" for i in range(25)))
+    paths["short"].write_text('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": []}')
+    invoke(runner, ["parity", "train", "--n", "4", "--fraction", "1.0", "--model", str(paths["model"])])
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message.format(**paths)}\n" in result.output
+    assert "Traceback" not in result.output
+    assert not paths["out"].exists()
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from qdensity import qprob
+from qdensity import linalg, qprob
 from qdensity.empirical import empirical_distribution, parse_dataset
+from qdensity.qprob import Alphabet
 from qdensity.entailment import (
     CorpusState,
+    EntailmentDensity,
     PatternUnobservedError,
     decompose,
     difference_min_eigenvalue,
@@ -140,6 +142,31 @@ class TestLoewnerOrder:
                 pattern_density(corpus, {3: "orange"}),
                 pattern_density(other, {1: "a"}),
             )
+
+
+def test_min_eigenvalues_are_eigvalsh_bit_for_bit():
+    # each density is symmetric only within 1e-12, so a difference scaled above 1
+    # may be less symmetric than that; it is still accepted, and its value is eigh's
+    rng = np.random.default_rng(1807)
+    suffixes = Alphabet(tuple("uvwxy"))
+    widest = 0.0
+    for _ in range(20):
+        mats = []
+        for _ in range(2):
+            g = rng.standard_normal((5, 3))
+            skew = rng.uniform(-2.4e-13, 2.4e-13, (5, 5))  # m - m.T is 2 * (skew - skew.T)
+            mats.append(g @ g.T / np.sum(g * g) + (skew - skew.T))
+        for m in mats:
+            w = np.linalg.eigvalsh(m)[0]
+            assert linalg.min_eigenvalue(m) == w
+            # is_psd compares exactly that float with -tol
+            assert linalg.is_psd(m, -w) and not linalg.is_psd(m, -np.nextafter(w, np.inf))
+        a, b = (EntailmentDensity(((1, "a"),), suffixes, m, 1.0, True) for m in mats)
+        scale = rng.uniform(1.0, 4.0)
+        diff = a.matrix - scale * b.matrix
+        widest = max(widest, np.abs(diff - diff.T).max())
+        assert difference_min_eigenvalue(a, b, scale) == np.linalg.eigvalsh(diff)[0]
+    assert widest > 1e-12
 
 
 class TestInvariants:

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qdensity import qprob
+from qdensity import mps, qprob
 from qdensity.fca import Relation
-from qdensity.qprob import Alphabet, DensityMatrix, JointDistribution, PureState
+from qdensity.qprob import Alphabet, DensityMatrix, JointDistribution, PureState, SchmidtData
 
 from conftest import random_joint, three_phrase_distribution
 
 ROOT3 = math.sqrt(3)
+AB, U = Alphabet(("a", "b")), Alphabet(("u",))
 
 
 def point_mass(n=2, m=2):
@@ -114,6 +115,44 @@ class TestTypes:
         mat = np.array([[0.5, 0.7], [0.7, 0.5]])
         with pytest.raises(ValueError):
             DensityMatrix.from_matrix(Alphabet(("a", "b")), mat)
+
+    @pytest.mark.parametrize(
+        "build, nan_message, total_message",
+        [
+            (
+                lambda v: JointDistribution(AB, U, np.reshape(v, (2, 1))),
+                "probabilities sum to nan, expected 1",
+                "probabilities sum to 0.75, expected 1",
+            ),
+            (
+                lambda v: PureState(AB, U, np.reshape(v, (2, 1))),
+                "squared amplitudes sum to nan, expected 1",
+                "squared amplitudes sum to 0.3125, expected 1",
+            ),
+            (
+                lambda v: DensityMatrix(AB, np.diag(v)),
+                "matrix entries must be finite",
+                "density matrix has trace 0.75, expected 1",
+            ),
+            (
+                lambda v: SchmidtData(np.array(v), np.eye(2), np.eye(2), AB, AB),
+                "squared Schmidt coefficients sum to nan, expected 1",
+                "squared Schmidt coefficients sum to 0.3125, expected 1",
+            ),
+            (
+                lambda v: mps.bhattacharyya(v, [0.5, 0.5]),
+                "p sums to nan, expected 1",
+                "p sums to 0.75, expected 1",
+            ),
+        ],
+        ids=["JointDistribution", "PureState", "DensityMatrix", "SchmidtData", "bhattacharyya"],
+    )
+    def test_unit_totals_refuse_nan(self, build, nan_message, total_message):
+        # a NaN total is never within tolerance of 1; 0.5 and 0.25 square exactly
+        for values, message in (([math.nan, 1.0], nan_message), ([0.5, 0.25], total_message)):
+            with pytest.raises(ValueError) as err:
+                build(values)
+            assert str(err.value) == message
 
     def test_values_are_immutable(self):
         pi = three_phrase_distribution()
