@@ -3,9 +3,10 @@
 Results go to stdout or the --out file as JSON/CSV with pinned float
 formatting. Every subcommand is deterministic given its flags and seeds.
 Errors go to stderr as one "Error: ..." line with exit status 1: the
-readers name the file and line they refuse, and any ValueError the library
-raises on input it refuses is reported the same way, by the command
-group's one handler, never as a traceback.
+readers name the file and the line they refuse, or the offset of a byte
+that is not UTF-8, and any ValueError the library raises on input it
+refuses, such as a table above qprob.MAX_PRODUCT_DIM entries, is reported
+the same way, by the command group's one handler, never as a traceback.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import entailment, fca, mps, qprob
 from ._format import csv_row, dumps
-from .empirical import empirical_distribution, parse_dataset
+from .empirical import _read_utf8, empirical_distribution, load_dataset
 from .qprob import Alphabet, JointDistribution
 
 DIST_HEADER = "x,y,p"
@@ -38,23 +39,9 @@ def _emit(text: str, out_path) -> None:
         click.echo(text)
 
 
-def _decoded(path, read):
-    """read(fh) of the file as UTF-8 text; a decoding failure is an error naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return read(fh)
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:  # decoded whole, the position counts from the file's start
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-        raise _fail(f"{path}: {exc}")
-
-
 def _read_order_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Two lines: space-separated x symbols, then y symbols."""
-    lines = [ln.strip() for ln in _decoded(path, list) if ln.strip()]
+    lines = [ln.strip() for ln in _read_utf8(path, list) if ln.strip()]
     if len(lines) != 2:
         raise _fail(f"ordering file {path} must have exactly two nonempty lines")
     return tuple(lines[0].split()), tuple(lines[1].split())
@@ -62,7 +49,7 @@ def _read_order_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 def _csv_rows(path, header: str):
     """(line number, stripped cells) of every nonblank line after the checked header."""
-    lines = _decoded(path, lambda fh: fh.read().splitlines())
+    lines = _read_utf8(path, lambda fh: fh.read().splitlines())
     if not lines or lines[0].strip() != header:
         raise _fail(f"{path}: line 1: expected header {header!r}")
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -102,7 +89,7 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         y_codes = y_order.encode(y_alpha)[y_codes]
         x_alpha, y_alpha = x_order, y_order
     try:
-        qprob._product_size(x_alpha, y_alpha)  # before the table is allocated
+        qprob._product_size(len(x_alpha), len(y_alpha))  # before the table is allocated
         table = np.zeros((len(x_alpha), len(y_alpha)))
         table[x_codes, y_codes] = list(entries.values())
         total = float(table.sum())
@@ -140,7 +127,7 @@ def cmd_reduce(input_path, cut, order, out):
     INPUT_PATH is either a distribution CSV with header x,y,p or, together
     with --cut, a dataset file with one sample per line.
     """
-    first = _decoded(input_path, lambda fh: fh.readline().strip())
+    first = _read_utf8(input_path, lambda fh: fh.readline().strip())
     # without --cut a comma marks a distribution CSV, so a misspelled header is reported
     if first == DIST_HEADER or cut is None and "," in first:
         if cut is not None:
@@ -151,7 +138,7 @@ def cmd_reduce(input_path, cut, order, out):
             raise _fail("dataset input needs --cut")
         if order is not None:
             raise _fail("--order applies to a distribution CSV, not to dataset input")
-        pi = empirical_distribution(_decoded(input_path, parse_dataset), cut)
+        pi = empirical_distribution(load_dataset(input_path), cut)
     psi = qprob.build_state(pi)
     rho_x = qprob.reduced_via_gram(psi, "X")
     rho_y = qprob.reduced_via_gram(psi, "Y")
@@ -248,7 +235,7 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
     probability of --against given --pattern whenever the former refines
     the latter.
     """
-    cs = entailment.CorpusState.from_dataset(_decoded(corpus_path, parse_dataset))
+    cs = entailment.CorpusState.from_dataset(load_dataset(corpus_path))
     pat = _parse_pattern(pattern)
     ref = _parse_pattern(against)
     normalized = not unnormalized
@@ -306,7 +293,7 @@ def parity_train(n, fraction, data, chi, seed, model_path):
         raise _fail("give either --data, or --fraction with --n")
     try:
         if data is not None:
-            ds = _decoded(data, parse_dataset)
+            ds = load_dataset(data)
         else:
             ds = mps.draw_even_subset(n, mps.even_subset_count(n, fraction), seed)
         model = mps.train(ds, mps.TrainConfig(chi=chi))

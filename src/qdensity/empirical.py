@@ -10,6 +10,9 @@ angles come from the block degrees and shared-suffix counts.
 Code rows are grouped one way, by _suffix_ranks' right-to-left ranking
 pass: cut_counts ranks its prefix and suffix columns with it, and the MPS
 sweep reads every cut's suffix groups off its ranks.
+
+A dataset file is read only by load_dataset, and a count table is allocated
+only by cut_counts, which checks qprob.MAX_PRODUCT_DIM first.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qprob import MAX_PRODUCT_DIM, Alphabet, DensityMatrix, JointDistribution, _readonly
+from .qprob import Alphabet, DensityMatrix, JointDistribution, _product_size, _readonly
 
 __all__ = [
     "SequenceDataset",
@@ -137,9 +140,23 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
     return SequenceDataset.from_codes(alphabet, codes.reshape(len(lengths), -1))
 
 
+def _read_utf8(path, read):
+    """read(fh) of the file as UTF-8 text; a decoding failure is a ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read(fh)
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # decoded whole, the position counts from the file's start
+            try:
+                fh.read().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_dataset(path) -> SequenceDataset:
-    with open(path, encoding="utf-8") as fh:
-        return parse_dataset(fh)
+    """parse_dataset of the file's lines, streamed; a byte that is not UTF-8 is reported by offset."""
+    return _read_utf8(path, parse_dataset)
 
 
 def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
@@ -185,7 +202,8 @@ def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, n
 
     Returns the distinct prefix and suffix code rows, each in first-appearance
     order, and counts[i, j], the number of samples made of prefix i followed
-    by suffix j.
+    by suffix j. A table above qprob.MAX_PRODUCT_DIM entries is refused
+    before it is allocated.
     """
     if not 1 <= cut < ds.length:
         raise ValueError(f"cut must lie in [1, {ds.length - 1}], got {cut}")
@@ -199,6 +217,7 @@ def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, n
         sides.append((rows[first[order]], np.argsort(order)[ranks]))
     (prefixes, p_idx), (suffixes, s_idx) = sides
     shape = (len(prefixes), len(suffixes))
+    _product_size(*shape)  # before the table is allocated
     counts = np.bincount(p_idx * shape[1] + s_idx, minlength=shape[0] * shape[1])
     return prefixes, suffixes, counts.reshape(shape)
 
@@ -207,28 +226,13 @@ def _labels(alphabet: Alphabet, codes: np.ndarray) -> Alphabet:
     return Alphabet(tuple(" ".join(tokens) for tokens in _decode(alphabet, codes)))
 
 
-def empirical_distribution(
-    ds: SequenceDataset, cut: int, full_prefix_basis: bool = False
-) -> JointDistribution:
+def empirical_distribution(ds: SequenceDataset, cut: int) -> JointDistribution:
     """Joint table of prefix/suffix frequencies at the given cut.
 
-    Prefixes (and suffixes) are indexed in first-appearance order; with
-    full_prefix_basis the prefix side is padded to the entire product of
-    the alphabet with itself, in lexicographic order.
+    Prefixes and suffixes are indexed in first-appearance order.
     """
     prefixes, suffixes, counts = cut_counts(ds, cut)
     table = counts / ds.n_samples
-    if full_prefix_basis:
-        d = len(ds.alphabet)
-        if d**cut > MAX_PRODUCT_DIM:
-            raise ValueError(
-                f"full prefix basis of {d}**{cut} elements exceeds the supported {MAX_PRODUCT_DIM}"
-            )
-        # all d**cut prefixes in lexicographic order: an observed prefix lands
-        # on the row given by the mixed-radix value of its codes
-        padded = np.zeros((d**cut, table.shape[1]))
-        padded[prefixes @ d ** np.arange(cut - 1, -1, -1)] = table
-        table, prefixes = padded, np.indices((d,) * cut).reshape(cut, -1).T
     return JointDistribution(_labels(ds.alphabet, prefixes), _labels(ds.alphabet, suffixes), table)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .empirical import SequenceDataset, _decode, _labels, cut_counts
-from .qprob import DENSITY_TOL, Alphabet, _readonly
+from .qprob import DENSITY_TOL, Alphabet, _readonly, _square
 
 __all__ = [
     "CorpusState",
@@ -90,6 +90,7 @@ class EntailmentDensity:
         mat = _readonly(self.matrix)
         if not 0.0 <= self.weight <= 1.0 + 1e-12:
             raise ValueError(f"weight {self.weight!r} outside [0, 1]")
+        _square(mat, self.suffix_alphabet)
         if not linalg.is_psd(mat, DENSITY_TOL):
             raise ValueError("entailment density must be positive semidefinite")
         expected = 1.0 if self.normalized else self.weight
@@ -121,6 +122,18 @@ def _match(
     return items, idx
 
 
+def _density(
+    cs: CorpusState, items: tuple[tuple[int, str], ...], idx, normalized: bool
+) -> EntailmentDensity:
+    """Sum of the suffix-space projections of the observed prefixes idx."""
+    cols = cs.columns[:, idx]
+    mat = cols @ cols.T
+    weight = float(np.trace(mat))
+    if normalized:
+        mat = mat / weight
+    return EntailmentDensity(items, cs.suffix_alphabet, mat, weight, normalized)
+
+
 def pattern_density(
     cs: CorpusState, pattern: Mapping[int, str], normalized: bool = False
 ) -> EntailmentDensity:
@@ -129,13 +142,7 @@ def pattern_density(
     Sums the suffix-space projections of every observed prefix matching
     the pattern; raises PatternUnobservedError when nothing matches.
     """
-    items, idx = _match(cs, pattern)
-    cols = cs.columns[:, idx]
-    mat = cols @ cols.T
-    weight = float(np.trace(mat))
-    if normalized:
-        mat = mat / weight
-    return EntailmentDensity(items, cs.suffix_alphabet, mat, weight, normalized)
+    return _density(cs, *_match(cs, pattern), normalized)
 
 
 def decompose(
@@ -151,12 +158,7 @@ def decompose(
     total = cs.prefix_probs[idx].sum()
     out = []
     for i, prefix in zip(idx, _decode(cs.dataset.alphabet, cs.prefix_codes[idx])):
-        col = cs.columns[:, [i]]
-        mat = col @ col.T
-        weight = float(np.trace(mat))
-        dens = EntailmentDensity(
-            tuple(enumerate(prefix, 1)), cs.suffix_alphabet, mat / weight, weight, True
-        )
+        dens = _density(cs, tuple(enumerate(prefix, 1)), [i], True)
         out.append((prefix, float(cs.prefix_probs[i] / total), dens))
     return out
 

@@ -64,12 +64,19 @@ def _unit_total(total: float, what: str, tol: float) -> None:
         raise ValueError(f"{what} {total!r}, expected 1")
 
 
-def _product_size(x: Alphabet, y: Alphabet) -> int:
-    """|x| * |y|, the entries of a table over x and y; ValueError above MAX_PRODUCT_DIM."""
-    size = len(x) * len(y)
+def _product_size(rows: int, cols: int) -> int:
+    """rows * cols, the entries of a table; ValueError above MAX_PRODUCT_DIM."""
+    size = rows * cols
     if size > MAX_PRODUCT_DIM:
         raise ValueError(f"product space of {size} entries exceeds the supported {MAX_PRODUCT_DIM}")
     return size
+
+
+def _square(mat: np.ndarray, basis) -> None:
+    """ValueError unless mat is square with one row per element of the basis."""
+    dim = len(basis)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"matrix shape {mat.shape} does not match basis size {dim}")
 
 
 def _table(values, x: Alphabet, y: Alphabet, what: str, dtype=float) -> np.ndarray:
@@ -151,7 +158,7 @@ class JointDistribution:
 
     def __post_init__(self):
         table = _table(self.probs, self.x_alphabet, self.y_alphabet, "probability table")
-        _product_size(self.x_alphabet, self.y_alphabet)
+        _product_size(len(self.x_alphabet), len(self.y_alphabet))
         if np.any(table < 0):
             raise ValueError("probabilities must be nonnegative")
         _unit_total(float(table.sum()), "probabilities sum to", NORM_TOL)
@@ -200,9 +207,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
-        dim = len(self.basis)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"matrix shape {mat.shape} does not match basis size {dim}")
+        _square(mat, self.basis)
         linalg._as_symmetric(mat, DENSITY_TOL)
         _unit_total(float(np.trace(mat)), "density matrix has trace", DENSITY_TOL)
         object.__setattr__(self, "matrix", _readonly(mat))
@@ -210,8 +215,8 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, basis: Alphabet | ProductBasis, matrix) -> "DensityMatrix":
         """Fully validated constructor, including the PSD check."""
-        dm = cls(basis, matrix)
-        if not linalg.is_psd(dm.matrix, DENSITY_TOL):
+        dm = cls(basis, matrix)  # finite and symmetric within DENSITY_TOL, so eigvalsh applies
+        if linalg.min_eigenvalue(dm.matrix) < -DENSITY_TOL:
             raise ValueError("density matrix must be positive semidefinite")
         return dm
 

@@ -570,13 +570,18 @@ class TestParity:
             ["parity", "experiment", "--n", "6", "--fractions", "2.0", "--replicas", "1"],
             "fraction 2.0 outside (0, 1]",
         ),
+        (
+            ["entail", "{wide}", "--pattern", "1=p0", "--against", "1=p1"],
+            "product space of 1210000 entries exceeds the supported 1048576",
+        ),
     ],
-    ids=["reduce", "concepts", "entail", "train", "eval", "sample", "experiment"],
+    ids=["reduce", "concepts", "entail", "train", "eval", "sample", "experiment", "entail-bound"],
 )
 def test_library_value_error_is_an_error_line(runner, tmp_path, args, message):
     # each command leaves the library's ValueError to the command group's one handler
-    paths = {name: tmp_path / name for name in ("corpus", "identity", "short", "model", "out")}
+    paths = {name: tmp_path / name for name in ("corpus", "identity", "short", "model", "out", "wide")}
     paths["corpus"].write_text("small ripe fruit\nlarge ripe fruit\nsmall green vegetable\n")
+    paths["wide"].write_text("".join(f"p{i} s{i}\n" for i in range(1100)))
     paths["identity"].write_text("x,y\n" + "".join(f"x{i},y{i}\n" for i in range(25)))
     paths["short"].write_text('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": []}')
     invoke(runner, ["parity", "train", "--n", "4", "--fraction", "1.0", "--model", str(paths["model"])])

@@ -1,6 +1,5 @@
 """The int-coded dataset: code matrix, first-appearance split, and its consumers."""
 
-import itertools
 from collections import Counter
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from qdensity import mps
 from qdensity.empirical import EmpiricalGraph, SequenceDataset, cut_counts, empirical_distribution
 from qdensity.entailment import CorpusState, PatternUnobservedError, pattern_density
-from qdensity.qprob import MAX_PRODUCT_DIM, Alphabet
+from qdensity.qprob import Alphabet
 
 from conftest import BITS, random_dataset
 
@@ -58,20 +57,6 @@ class TestSplitMatchesCounterOracle:
             assert tuple(pi.x_alphabet) == labels(prefixes)
             assert tuple(pi.y_alphabet) == labels(suffixes)
             assert np.array_equal(pi.probs, table / ds.n_samples)
-
-    def test_full_prefix_basis(self):
-        for _, ds, cut in random_cases(62, 40):
-            prefixes, suffixes, table = counter_oracle(ds, cut)
-            if len(ds.alphabet) ** cut * len(suffixes) > MAX_PRODUCT_DIM:
-                continue  # only wide alphabets past cut 2 pad beyond the supported table
-            observed = dict(zip(labels(prefixes), table / ds.n_samples))
-            pi = empirical_distribution(ds, cut, full_prefix_basis=True)
-            full = labels(itertools.product(ds.alphabet, repeat=cut))
-            assert tuple(pi.x_alphabet) == full
-            assert tuple(pi.y_alphabet) == labels(suffixes)
-            for i, label in enumerate(full):
-                expected = observed.get(label, np.zeros(len(suffixes)))
-                assert np.array_equal(pi.probs[i], expected)
 
     def test_graph_count_matrix(self):
         for _, ds, cut in random_cases(63, 60):

@@ -16,6 +16,7 @@ from qdensity.empirical import (
     parse_dataset,
     summarizer_angles,
 )
+from qdensity.entailment import CorpusState
 from qdensity.qprob import Alphabet
 
 from conftest import (
@@ -126,6 +127,18 @@ class TestParsing:
         assert ds.codes.shape == (20000, 5)
         assert peak < 5 * ds.codes.nbytes  # a parse that keeps every line's tokens peaks near 11
 
+    def test_load_dataset_names_the_file_and_offset_of_a_late_bad_byte(self, tmp_path):
+        # the byte lies past the text reader's first decoded chunk, so it fails mid-parse
+        data = bytearray(b"small ripe fruit\n" * 3001)
+        data[18000] = 0xFF
+        path = tmp_path / "late.txt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError) as err:
+            load_dataset(path)
+        assert str(err.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 18000: invalid start byte"
+        )
+
 
 class TestEmpiricalDistribution:
     def test_three_phrase_table(self):
@@ -155,21 +168,32 @@ class TestEmpiricalDistribution:
         y = tuple(pi.y_alphabet)
         assert pi.probs[x.index("a"), y.index("u")] == pytest.approx(0.5)
 
-    def test_full_prefix_basis_padding(self):
-        ds = parse_dataset(["001", "011"])
-        pi = empirical_distribution(ds, cut=2, full_prefix_basis=True)
-        assert tuple(pi.x_alphabet) == ("0 0", "0 1", "1 0", "1 1")
-        assert np.isclose(pi.probs.sum(), 1.0)
-
     def test_bad_cut(self):
         ds = parse_dataset(["a b"])
         with pytest.raises(ValueError):
             empirical_distribution(ds, cut=2)
 
-    def test_full_prefix_basis_size_guard(self):
-        ds = parse_dataset(["0" * 22, "1" * 22])
-        with pytest.raises(ValueError):
-            empirical_distribution(ds, cut=21, full_prefix_basis=True)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ds: empirical_distribution(ds, 1),
+            CorpusState.from_dataset,
+            lambda ds: EmpiricalGraph.from_dataset(ds, 1),
+        ],
+        ids=["empirical_distribution", "CorpusState", "EmpiricalGraph"],
+    )
+    def test_oversized_count_table_is_refused_before_allocation(self, build):
+        # 2000 x 2000 int64 counts would take 32 MB before any float copy
+        ds = parse_dataset(f"p{i} s{i}" for i in range(2000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                build(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "product space of 4000000 entries exceeds the supported 1048576"
+        assert peak < 5 << 20
 
 
 class TestGraphReducedDensity:

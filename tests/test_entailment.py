@@ -169,6 +169,12 @@ def test_min_eigenvalues_are_eigvalsh_bit_for_bit():
     assert widest > 1e-12
 
 
+def test_entailment_density_checks_its_shape_against_the_suffix_alphabet():
+    with pytest.raises(ValueError) as err:
+        EntailmentDensity(((1, "a"),), Alphabet(("u", "v")), np.eye(3) / 3, 1.0, True)
+    assert str(err.value) == "matrix shape (3, 3) does not match basis size 2"
+
+
 class TestInvariants:
     def test_kraus_sum_equals_suffix_density(self, corpus):
         # unnormalized full-prefix densities add up to rho_Y of the corpus state

@@ -116,6 +116,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix.from_matrix(Alphabet(("a", "b")), mat)
 
+    def test_density_from_matrix_gives_a_verdict_within_the_symmetry_tolerance(self):
+        # asymmetric by 5e-11: above linalg's default 1e-12, within DENSITY_TOL
+        dm = DensityMatrix.from_matrix(AB, [[0.5, 0.1], [0.1 + 5e-11, 0.5]])
+        assert dm.matrix.tolist() == [[0.5, 0.1], [0.1 + 5e-11, 0.5]]
+        with pytest.raises(ValueError, match="density matrix must be positive semidefinite"):
+            DensityMatrix.from_matrix(AB, [[0.5, 0.7], [0.7 + 5e-11, 0.5]])
+
     @pytest.mark.parametrize(
         "build, nan_message, total_message",
         [
