@@ -53,9 +53,12 @@ def _decode(alphabet: Alphabet, codes: np.ndarray) -> tuple[tuple[str, ...], ...
 class SequenceDataset:
     """Multiset of fixed-length token sequences over one alphabet.
 
-    codes is a read-only (n_samples, length) integer matrix: codes[i, k] is
-    the alphabet index of token k of sample i. Every reduction reads the
-    codes; samples decodes them back to token tuples on request.
+    codes is a read-only (n_samples, length) int64 matrix: codes[i, k] is
+    the alphabet index of token k of sample i. It is stored column-major,
+    because every reader takes it one column at a time: the ranking pass,
+    the cut's prefix and suffix columns, and the sweep's symbols at each
+    site. Every reduction reads the codes; samples decodes them back to
+    token tuples on request.
     """
 
     alphabet: Alphabet
@@ -71,11 +74,15 @@ class SequenceDataset:
             return sample
 
         codes = alphabet.encode(chain.from_iterable(map(checked, samples)))
-        self._store(alphabet, codes.reshape(-1, length))
+        self._store(alphabet, np.array(codes.reshape(-1, length), dtype=np.int64, order="F"))
 
-    def _store(self, alphabet: Alphabet, codes: np.ndarray) -> None:
+    def _store(self, alphabet: Alphabet, codes: np.ndarray) -> "SequenceDataset":
+        """self over the alphabet, taking over codes: a column-major int64 code
+        matrix its caller owns and no longer writes. It is made read-only."""
+        codes.flags.writeable = False
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "codes", _readonly(codes, np.int64))
+        object.__setattr__(self, "codes", codes)
+        return self
 
     @classmethod
     def from_codes(cls, alphabet: Alphabet, codes) -> "SequenceDataset":
@@ -84,9 +91,7 @@ class SequenceDataset:
         ok = not arr.size or arr.dtype.kind in "iu" and 0 <= arr.min() <= arr.max() < len(alphabet)
         if arr.ndim != 2 or arr.shape[1] < 1 or not ok:
             raise ValueError(f"codes must be a 2-d matrix of integers in [0, {len(alphabet)})")
-        out = cls.__new__(cls)
-        out._store(alphabet, arr)
-        return out
+        return cls.__new__(cls)._store(alphabet, np.array(arr, dtype=np.int64, order="F"))
 
     @property
     def length(self) -> int:
@@ -267,7 +272,9 @@ class EmpiricalGraph:
         prefix_codes, suffix_codes, counts = cut_counts(ds, cut)
         prefixes = _decode(ds.alphabet, prefix_codes)
         if prefix_order is not None:
-            order = tuple(tuple(p) for p in prefix_order)
+            order = tuple(prefix_order)
+            _product_size(len(order), counts.shape[1])  # before the padded table and its index
+            order = tuple(map(tuple, order))
             rows = {p: i for i, p in enumerate(order)}
             if len(rows) != len(order):
                 raise ValueError("prefix_order repeats a prefix")

@@ -128,7 +128,7 @@ class MatrixProductState:
             raise ValueError(f"alphabet must be {d} strings, got {symbols!r}")
         object.__setattr__(self, "alphabet", Alphabet(symbols))
         if tensors[0].shape != (1, d, d) or not np.allclose(
-            tensors[0][0], np.eye(d), atol=1e-12
+            tensors[0][0], np.eye(d), rtol=0, atol=1e-12
         ):
             raise ValueError("first tensor must be the identity on the physical space")
         for k, t in enumerate(tensors):
@@ -536,15 +536,27 @@ def even_subset_count(n: int, fraction: float) -> int:
 
 
 def draw_even_subset(n: int, count: int, seed: int) -> SequenceDataset:
-    """Draw distinct even-parity bitstrings uniformly, without replacement."""
+    """Draw distinct even-parity bitstrings uniformly, without replacement.
+
+    count distinct indices in [0, 2**(n-1)) are drawn and sorted; index p
+    is the string whose first n - 1 bits are p's binary digits, most
+    significant first, and whose last bit is their parity. The bits are
+    shifted and masked in place, and their parity folded by xor, in one
+    (n, count) block whose row j is the dataset's column j; the dataset
+    takes over the block's transpose, its column-major code matrix, with
+    no copy.
+    """
     space = _even_space(n)
     if not 1 <= count <= space:
         raise ValueError(f"count must lie in [1, {space}]")
     rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(space, size=count, replace=False))
-    head = (picks[:, None] >> np.arange(n - 2, -1, -1)) & 1  # n-1 free bits, most significant first
-    codes = np.column_stack([head, head.sum(axis=1) % 2])
-    return SequenceDataset.from_codes(Alphabet(("0", "1")), codes)
+    block = np.empty((n, count), dtype=np.int64)
+    bits = block[: n - 1]  # row j holds bit j of every string: pick >> (n - 2 - j)
+    np.right_shift(picks, np.arange(n - 2, -1, -1)[:, None], out=bits)
+    bits &= 1
+    np.bitwise_xor.reduce(bits, axis=0, out=block[n - 1])
+    return SequenceDataset.__new__(SequenceDataset)._store(Alphabet(("0", "1")), block.T)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,20 @@
 """The int-coded dataset: code matrix, first-appearance split, and its consumers."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from qdensity import mps
-from qdensity.empirical import EmpiricalGraph, SequenceDataset, cut_counts, empirical_distribution
+from qdensity.empirical import (
+    EmpiricalGraph,
+    SequenceDataset,
+    cut_counts,
+    empirical_distribution,
+    load_dataset,
+    parse_dataset,
+)
 from qdensity.entailment import CorpusState, PatternUnobservedError, pattern_density
 from qdensity.qprob import Alphabet
 
@@ -26,6 +34,11 @@ def counter_oracle(ds: SequenceDataset, cut: int):
 
 def labels(tuples) -> tuple[str, ...]:
     return tuple(" ".join(t) for t in tuples)
+
+
+def written(path, text: str):
+    path.write_text(text)
+    return path
 
 
 def random_cases(seed: int, count: int):
@@ -148,6 +161,24 @@ class TestCodes:
         with pytest.raises(ValueError):
             SequenceDataset.from_codes(BITS, codes)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda tmp: SequenceDataset(BITS, 3, [("0", "1", "1"), ("1", "0", "1")]),
+            lambda tmp: SequenceDataset.from_codes(BITS, np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int8)),
+            lambda tmp: parse_dataset(["a b c", "c b a"]),
+            lambda tmp: load_dataset(written(tmp / "d.txt", "011\n101\n")),
+            lambda tmp: mps.draw_even_subset(9, 40, 2),
+            lambda tmp: mps.draw_even_subset(2, 1, 0),
+        ],
+        ids=["init", "from_codes", "parse", "load", "draw", "draw_n2"],
+    )
+    def test_every_constructor_stores_read_only_int64_columns(self, build, tmp_path):
+        codes = build(tmp_path).codes
+        assert codes.dtype == np.int64
+        assert codes.flags.f_contiguous
+        assert not codes.flags.writeable
+
 
 def string_even_subset(n: int, count: int, seed: int) -> tuple[tuple[str, ...], ...]:
     """The even-subset draw built one string at a time, as a reference."""
@@ -168,9 +199,28 @@ class TestDrawEvenSubsetCodes:
         assert np.all(ds.codes.sum(axis=1) % 2 == 0)
         assert len(np.unique(ds.codes, axis=0)) == 300
 
-    @pytest.mark.parametrize("n, count, seed", [(2, 1, 0), (2, 2, 1), (5, 7, 2), (8, 64, 3), (9, 256, 4)])
+    @pytest.mark.parametrize(
+        "n, count, seed",
+        [
+            (2, 1, 0), (2, 2, 1), (5, 7, 2), (8, 64, 3), (9, 256, 4),
+            # the experiment's n at fractions 0.025 and 0.2, and n = 20 at both
+            (16, 819, 5), (16, 6554, 6), (20, 13107, 7), (20, 104858, 8),
+        ],
+    )
     def test_matches_string_builder(self, n, count, seed):
         assert mps.draw_even_subset(n, count, seed).samples == string_even_subset(n, count, seed)
+
+    def test_draw_memory_stays_near_the_codes(self):
+        # each bit column is written once, into the storage the dataset keeps;
+        # building the rows and then copying them into a dataset peaks near 3x
+        tracemalloc.start()
+        try:
+            ds = mps.draw_even_subset(20, 2**18, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.codes.shape == (2**18, 20)
+        assert peak < 1.3 * ds.codes.nbytes
 
 
 class TestMaxWorkers:

@@ -195,6 +195,20 @@ class TestEmpiricalDistribution:
         assert str(err.value) == "product space of 4000000 entries exceeds the supported 1048576"
         assert peak < 5 << 20
 
+    def test_oversized_prefix_order_is_refused_before_padding(self):
+        # 2 observed suffixes and 700002 prefix rows: 1400004 entries of padded counts
+        ds = parse_dataset(["a x", "b y"])
+        order = (("a",), ("b",)) + tuple((f"p{i}",) for i in range(700000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                EmpiricalGraph.from_dataset(ds, 1, prefix_order=order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "product space of 1400004 entries exceeds the supported 1048576"
+        assert peak < 5 << 20
+
 
 class TestGraphReducedDensity:
     def test_five_edge_graph(self):

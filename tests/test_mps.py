@@ -314,6 +314,19 @@ class TestSample:
         assert mps.bhattacharyya(empirical, mps.distribution_table(target)) < 0.01
 
 
+class TestFirstTensor:
+    @pytest.mark.parametrize("scale, ok", [(1 + 5e-6, False), (1 + 1e-13, True), (1.0, True)])
+    def test_must_be_the_identity_within_an_absolute_tolerance(self, scale, ok):
+        # a relative tolerance of 1e-5 would admit 1.000005 * I, whose Born table sums to 1.00001
+        tensors = mps.parity_target(4).tensors
+        scaled = (tensors[0] * scale,) + tensors[1:]
+        if ok:
+            MatrixProductState(4, 2, scaled)
+        else:
+            with pytest.raises(ValueError, match="first tensor must be the identity"):
+                MatrixProductState(4, 2, scaled)
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         model = mps.train(random_even_subset(7, 15, seed=16), CFG)
