@@ -6,12 +6,16 @@ serializer exists to pin the output format: every float is written with
 across runs. Infinities follow the json module's readable spelling so
 json.loads can parse everything back.
 
-Arrays are converted with tolist, so every matrix row, vector and
-eigenvalue list reaches the encoder as a list of Python floats. A list
-whose entries are all finite Python floats is written with one
-%-format of the whole row; its bytes are those of formatting each entry
-with %.17g and joining them. Any other list (NaN, infinities, ints,
-bools, strings, nested lists) is encoded entry by entry.
+A float64 array, whose dtype already fixes the type of every entry, is
+checked once: when np.isfinite holds for all of it, each of its rows
+(along the last axis) is written with one %-format of a row template,
+with no further check. Its bytes are those of formatting each entry
+with %.17g and joining them. Any other array (NaN, infinities, another
+dtype, no entries, 0-d) is converted with tolist and encoded as a list.
+A list whose entries are all finite Python floats is written with one
+%-format of the whole row, with the same bytes; any other list (NaN,
+infinities, ints, bools, strings, nested lists) is encoded entry by
+entry.
 """
 
 from __future__ import annotations
@@ -36,6 +40,19 @@ def _finite_floats(row) -> bool:
     return set(map(type, row)) == {float} and all(map(math.isfinite, row))
 
 
+def _finite_rows(nested: list, ndim: int, row: str, parts: list[str]) -> None:
+    """Append a finite float64 array's nested tolist, each last-axis row by the row template."""
+    if ndim == 1:
+        parts.append(row % tuple(nested))
+        return
+    parts.append("[")
+    for i, sub in enumerate(nested):
+        if i:
+            parts.append(", ")
+        _finite_rows(sub, ndim - 1, row, parts)
+    parts.append("]")
+
+
 def _string(s: str) -> str:
     return json.dumps(s, ensure_ascii=False)
 
@@ -43,6 +60,10 @@ def _string(s: str) -> str:
 def _encode(obj, parts: list[str], indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+            row = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
+            _finite_rows(obj.tolist(), obj.ndim, row, parts)
+            return
         obj = obj.tolist()
     elif isinstance(obj, np.bool_):
         obj = bool(obj)

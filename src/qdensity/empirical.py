@@ -7,9 +7,10 @@ off-diagonals count shared neighbors (length-two paths). For parity-block
 graphs the top eigenvectors of the prefix density are plane rotations whose
 angles come from the block degrees and shared-suffix counts.
 
-Code rows are grouped one way, by _suffix_ranks' right-to-left ranking
-pass: cut_counts ranks its prefix and suffix columns with it, and the MPS
-sweep reads every cut's suffix groups off its ranks.
+Code rows are grouped one way, by _rank_pass' right-to-left ranking
+pass: cut_counts ranks its prefix and suffix rows with it, keeping only
+the running ranks, and the MPS sweep reads every cut's suffix groups off
+the table of all of them, _suffix_ranks.
 
 A dataset file is read only by load_dataset, and a count table is allocated
 only by cut_counts, which checks qprob.MAX_PRODUCT_DIM first.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -181,24 +182,31 @@ def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     return np.searchsorted(distinct, keys), len(distinct)
 
 
-def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
-    """Rank of every suffix among the distinct suffixes: ranks[k, i] ranks codes[i, k:].
+def _rank_pass(codes: np.ndarray) -> Iterator[np.ndarray]:
+    """Ranks of the suffixes among the distinct suffixes, one column at a time, right to left.
 
-    One right-to-left pass: the suffix at column k is the pair (codes[:, k],
-    suffix at k + 1), so ranking the keys codes[:, k] * size + g, where g
-    holds the ranks at k + 1 and size their count, orders the suffixes
-    lexicographically, exactly as a row-wise np.unique of codes[:, k:] does.
-    The keys lie below d * size <= d * n_samples, d = codes.max() + 1, so
-    _dense_ranks ranks them by presence table whenever d * size is at most
-    twice n_samples (every column of a bit dataset) and by sort otherwise.
-    Row 0 ranks the whole rows.
+    Yields the ranks of codes[:, k:] for k from the last column down to 0,
+    holding only the running ranks. The suffix at column k is the pair
+    (codes[:, k], suffix at k + 1), so ranking the keys codes[:, k] * size
+    + g, where g holds the ranks at k + 1 and size their count, orders the
+    suffixes lexicographically, exactly as a row-wise np.unique of
+    codes[:, k:] does. The keys lie below d * size <= d * n_samples, d =
+    codes.max() + 1, so _dense_ranks ranks them by presence table whenever
+    d * size is at most twice n_samples (every column of a bit dataset) and
+    by sort otherwise. The last ranks yielded rank the whole rows.
     """
-    ranks = np.empty(codes.shape[::-1], dtype=np.intp)
     d = int(codes.max(initial=0)) + 1
     g, size = np.zeros(len(codes), dtype=np.intp), 1
     for k in range(codes.shape[1] - 1, -1, -1):
         g, size = _dense_ranks(codes[:, k] * size + g, d * size)
-        ranks[k] = g
+        yield g
+
+
+def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
+    """Rank table of _rank_pass: ranks[k, i] ranks codes[i, k:]; row 0 ranks the whole rows."""
+    ranks = np.empty(codes.shape[::-1], dtype=np.intp)
+    for row, g in zip(ranks[::-1], _rank_pass(codes)):
+        row[...] = g
     return ranks
 
 
@@ -216,7 +224,8 @@ def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError("dataset is empty")
     sides = []
     for rows in (ds.codes[:, :cut], ds.codes[:, cut:]):
-        ranks = _suffix_ranks(rows)[0]
+        for ranks in _rank_pass(rows):  # the last ranks rank the whole rows
+            pass
         _, first = np.unique(ranks, return_index=True)  # first[r]: the first row of rank r
         order = np.argsort(first)  # first-appearance position -> rank
         sides.append((rows[first[order]], np.argsort(order)[ranks]))

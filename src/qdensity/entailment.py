@@ -98,6 +98,26 @@ class EntailmentDensity:
             raise ValueError("trace does not match the declared normalization")
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _part(cls, prefix: tuple[str, ...], suffix_alphabet: Alphabet, matrix, weight: float):
+        """decompose's normalized density of one full prefix, built with no checks.
+
+        matrix is the read-only outer product of the prefix's column with
+        itself divided by weight, its trace: square on the suffix basis,
+        PSD and of unit trace by construction, with weight the prefix's
+        probability. So __post_init__'s checks, an eigensolve among them,
+        would only re-verify what decompose just built.
+        """
+        self = cls.__new__(cls)
+        vars(self).update(  # frozen: the fields are set past __setattr__, as __post_init__ does
+            pattern=tuple(enumerate(prefix, 1)),
+            suffix_alphabet=suffix_alphabet,
+            matrix=matrix,
+            weight=weight,
+            normalized=True,
+        )
+        return self
+
 
 def _match(
     cs: CorpusState, pattern: Mapping[int, str]
@@ -122,27 +142,23 @@ def _match(
     return items, idx
 
 
-def _density(
-    cs: CorpusState, items: tuple[tuple[int, str], ...], idx, normalized: bool
-) -> EntailmentDensity:
-    """Sum of the suffix-space projections of the observed prefixes idx."""
-    cols = cs.columns[:, idx]
-    mat = cols @ cols.T
-    weight = float(np.trace(mat))
-    if normalized:
-        mat = mat / weight
-    return EntailmentDensity(items, cs.suffix_alphabet, mat, weight, normalized)
-
-
 def pattern_density(
     cs: CorpusState, pattern: Mapping[int, str], normalized: bool = False
 ) -> EntailmentDensity:
     """Density of the expression fixing the given prefix positions.
 
     Sums the suffix-space projections of every observed prefix matching
-    the pattern; raises PatternUnobservedError when nothing matches.
+    the pattern; raises PatternUnobservedError when nothing matches. The
+    result goes through EntailmentDensity's public, fully checked
+    constructor.
     """
-    return _density(cs, *_match(cs, pattern), normalized)
+    items, idx = _match(cs, pattern)
+    cols = cs.columns[:, idx]
+    mat = cols @ cols.T
+    weight = float(np.trace(mat))
+    if normalized:
+        mat = mat / weight
+    return EntailmentDensity(items, cs.suffix_alphabet, mat, weight, normalized)
 
 
 def decompose(
@@ -152,15 +168,25 @@ def decompose(
 
     Returns (prefix, conditional probability, normalized density) triples;
     the weights sum to one and the weighted sum of the densities equals the
-    pattern's normalized density.
+    pattern's normalized density. Every part is built in one batched step:
+    the outer product of each matched column with itself, its trace, and
+    one division. The parts are rank-one densities by construction, so
+    they are not verified again (see EntailmentDensity._part); their bytes
+    are those of pattern_density on each full prefix.
     """
     _, idx = _match(cs, pattern)
     total = cs.prefix_probs[idx].sum()
-    out = []
-    for i, prefix in zip(idx, _decode(cs.dataset.alphabet, cs.prefix_codes[idx])):
-        dens = _density(cs, tuple(enumerate(prefix, 1)), [i], True)
-        out.append((prefix, float(cs.prefix_probs[i] / total), dens))
-    return out
+    cols = cs.columns.T[idx]
+    mats = cols[:, :, None] * cols[:, None, :]
+    weights = mats.trace(axis1=1, axis2=2)
+    mats /= weights[:, None, None]
+    mats.flags.writeable = False
+    probs = (cs.prefix_probs[idx] / total).tolist()
+    prefixes = _decode(cs.dataset.alphabet, cs.prefix_codes[idx])
+    return [
+        (prefix, prob, EntailmentDensity._part(prefix, cs.suffix_alphabet, mat, weight))
+        for prefix, prob, mat, weight in zip(prefixes, probs, mats, weights.tolist())
+    ]
 
 
 def loewner_geq(a: EntailmentDensity, b: EntailmentDensity, scale: float = 1.0) -> bool:

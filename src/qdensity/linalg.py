@@ -1,7 +1,7 @@
 """Dense real linear algebra kernel.
 
-Symmetric eigendecomposition, singular value decomposition, the smallest
-eigenvalue and PSD testing.
+Symmetric eigendecomposition and its eigenvalues alone, singular value
+decomposition, the smallest eigenvalue and PSD testing.
 Everything here is deterministic: a fixed sign convention and a fixed
 tie-breaking rule make repeated calls on identical input bit-identical.
 """
@@ -16,6 +16,7 @@ __all__ = [
     "SymEigen",
     "Svd",
     "sym_eigen",
+    "sym_eigenvalues",
     "svd",
     "is_psd",
     "min_eigenvalue",
@@ -106,6 +107,22 @@ def sym_eigen(m) -> SymEigen:
     w, v = w[::-1], v[:, ::-1]  # eigh is ascending
     w, v = _tie_sorted(w, v * _column_signs(v))
     return SymEigen(np.ascontiguousarray(w), np.ascontiguousarray(v))
+
+
+def sym_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, descending, for callers that read no vectors.
+
+    Same input checks as sym_eigen. The values are eigh's, the ones
+    sym_eigen starts from, without its sign pass and tie sort; within a tie
+    group (gaps below _TIE_TOL) their order can differ from sym_eigen's.
+    This is not eigvalsh: LAPACK computes eigenvalues alone by a different
+    algorithm, whose results differ from eigh's in the last bits. On the
+    density of the pure state of the uniform (orange, fruit), (green,
+    fruit), (purple, vegetable) table, eigvalsh's top eigenvalue is
+    0.9999999999999998 where eigh's is 1.0, so that state's von Neumann
+    entropy would be 2.2e-16, not 0.0.
+    """
+    return np.ascontiguousarray(np.linalg.eigh(_as_symmetric(m))[0][::-1])
 
 
 def svd(m) -> Svd:

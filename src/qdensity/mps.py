@@ -127,9 +127,8 @@ class MatrixProductState:
         if len(symbols) != d or not all(isinstance(t, str) for t in symbols):
             raise ValueError(f"alphabet must be {d} strings, got {symbols!r}")
         object.__setattr__(self, "alphabet", Alphabet(symbols))
-        if tensors[0].shape != (1, d, d) or not np.allclose(
-            tensors[0][0], np.eye(d), rtol=0, atol=1e-12
-        ):
+        # NaN fails the comparison, so it is refused here too
+        if tensors[0].shape != (1, d, d) or not np.abs(tensors[0][0] - np.eye(d)).max() <= 1e-12:
             raise ValueError("first tensor must be the identity on the physical space")
         for k, t in enumerate(tensors):
             if t.ndim != 3 or t.shape[1] != d:

@@ -354,8 +354,14 @@ def shannon_entropy(weights: np.ndarray) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Shannon entropy of the density's eigenvalue distribution."""
-    return shannon_entropy(linalg.sym_eigen(rho.matrix).eigenvalues)
+    """Shannon entropy of the density's eigenvalue distribution.
+
+    The eigenvalues come from linalg.sym_eigenvalues: eigh's, the values
+    sym_eigen reads, without the eigenvectors' canonical form, which this
+    does not use. It is not eigvalsh, whose values differ in the last bits
+    (see sym_eigenvalues).
+    """
+    return shannon_entropy(linalg.sym_eigenvalues(rho.matrix))
 
 
 def entanglement_entropy(psi: PureState) -> float:

@@ -370,6 +370,30 @@ def eigen_concept_scores(r: Relation):
     return concepts, pairs
 
 
+def per_part_decompose(cs, pattern):
+    """Oracle: entailment.decompose built one part at a time.
+
+    Each part is the product of its prefix's one-column slice with its
+    transpose, divided by its trace, and goes through the public, fully
+    checked EntailmentDensity constructor.
+    """
+    from qdensity.entailment import EntailmentDensity
+
+    idx = np.flatnonzero(
+        [all(prefix[pos - 1] == token for pos, token in pattern.items()) for prefix in cs.prefixes]
+    )
+    total = cs.prefix_probs[idx].sum()
+    out = []
+    for i in idx:
+        prefix = cs.prefixes[i]
+        cols = cs.columns[:, [i]]
+        mat = cols @ cols.T
+        weight = float(np.trace(mat))
+        part = (tuple(enumerate(prefix, 1)), cs.suffix_alphabet, mat / weight, weight, True)
+        out.append((prefix, float(cs.prefix_probs[i] / total), EntailmentDensity(*part)))
+    return out
+
+
 def per_element_dumps(obj, indent: int = 0) -> str:
     """Oracle: the pinned JSON text built one value at a time.
 

@@ -111,6 +111,19 @@ class TestSplitMatchesCounterOracle:
         with pytest.raises(PatternUnobservedError):
             pattern_density(cs, {1: "a", 2: "z"})
 
+    def test_cut_counts_memory_stays_near_the_codes(self):
+        # each side is ranked holding only the running ranks; a table of the
+        # ranks at every column of the 18-column suffix side peaked at 2.14x
+        ds = mps.draw_even_subset(20, 2**17, 0)
+        tracemalloc.start()
+        try:
+            prefixes, _, counts = cut_counts(ds, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(prefixes) == 4 and counts.sum() == 2**17
+        assert peak < 1.5 * ds.codes.nbytes
+
 
 class TestCodes:
     def test_positional_constructor_encodes(self):

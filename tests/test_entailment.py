@@ -14,7 +14,7 @@ from qdensity.entailment import (
     pattern_density,
 )
 
-from conftest import FIVE_PHRASE_LINES, random_dataset
+from conftest import FIVE_PHRASE_LINES, per_part_decompose, random_dataset
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +101,29 @@ class TestDecompose:
                 assert dens.normalized
                 assert dens.matrix.tobytes() == want.matrix.tobytes()
 
+    @pytest.mark.parametrize("n_suffixes", range(1, 41))
+    def test_parts_equal_the_per_part_oracle(self, n_suffixes):
+        # suffix counts 1-40 take every branch of the trace's pairwise sum, unrolled 8 ways
+        rng = np.random.default_rng(2200 + n_suffixes)
+        heads = rng.choice(["a", "b", "c"], size=(3 * n_suffixes + 20, 2))
+        tails = rng.permutation(np.resize(np.arange(n_suffixes), len(heads)))  # every suffix seen
+        lines = [f"{x} {y} s{t}" for (x, y), t in zip(heads.tolist(), tails.tolist())]
+        cs = CorpusState.from_dataset(parse_dataset(lines))
+        assert len(cs.suffix_alphabet) == n_suffixes
+        for pattern in ({1: "a"}, {2: "b"}, {1: "c", 2: "a"}):
+            try:
+                want = per_part_decompose(cs, pattern)
+                got = decompose(cs, pattern)
+            except PatternUnobservedError:
+                continue
+            assert len(got) == len(want)
+            for (prefix, weight, dens), (w_prefix, w_weight, w_dens) in zip(got, want):
+                assert prefix == w_prefix and weight == w_weight
+                assert dens.pattern == w_dens.pattern and dens.weight == w_dens.weight
+                assert dens.suffix_alphabet == w_dens.suffix_alphabet and dens.normalized
+                assert np.array_equal(dens.matrix, w_dens.matrix)
+                assert not dens.matrix.flags.writeable
+
 
 class TestLoewnerOrder:
     def test_chain(self, corpus):
@@ -173,6 +196,14 @@ def test_entailment_density_checks_its_shape_against_the_suffix_alphabet():
     with pytest.raises(ValueError) as err:
         EntailmentDensity(((1, "a"),), Alphabet(("u", "v")), np.eye(3) / 3, 1.0, True)
     assert str(err.value) == "matrix shape (3, 3) does not match basis size 2"
+
+
+def test_entailment_density_refuses_a_matrix_that_is_not_psd():
+    # unit trace, symmetric and in shape, but with eigenvalues 1.1 and -0.1
+    with pytest.raises(ValueError) as err:
+        mat = np.array([[0.5, 0.6], [0.6, 0.5]])
+        EntailmentDensity(((1, "a"),), Alphabet(("u", "v")), mat, 1.0, True)
+    assert str(err.value) == "entailment density must be positive semidefinite"
 
 
 class TestInvariants:

@@ -111,6 +111,19 @@ class TestDumpsAgainstOracle:
             [[1.0, 2.0], [3.0, math.nan]],
             [1.0, [2.0]],
             np.array([[0.1, 0.2], [math.nan, 0.3], [math.inf, -math.inf]]),
+            # arrays: each gives the bytes of its tolist through the per-element
+            # oracle, whether it is checked once (finite float64) or entry by entry
+            np.array([0.5, math.nan]),
+            np.array([[math.inf], [1.0]]),
+            np.array([[1.0, -math.inf]]),
+            np.array([[-0.0, 0.0], [1e-300, -5e-324]]),
+            np.array([[3, -4], [0, 2**62]], dtype=np.int64),
+            np.array([[True, False]]),
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+            np.array([0.1, -0.0, 1e17, 2.0**53 + 2.0]),
+            np.arange(24.0).reshape(2, 3, 4) / 7,
+            np.arange(6.0).reshape(1, 1, 6) - 2.5,
         ],
     )
     def test_rows_taking_the_per_element_path(self, row):

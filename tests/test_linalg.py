@@ -55,7 +55,7 @@ class TestSymEigen:
         m[where] = entry
         if both:
             m[where[::-1]] = entry
-        for check in (linalg.sym_eigen, lambda a: linalg.is_psd(a, tol=1e-10)):
+        for check in (linalg.sym_eigen, linalg.sym_eigenvalues, lambda a: linalg.is_psd(a, tol=1e-10)):
             with pytest.raises(ValueError, match="^matrix entries must be finite$"):
                 check(m)
 
@@ -70,7 +70,7 @@ class TestSymEigen:
         ],
     )
     def test_validation_messages(self, m, message):
-        for check in (linalg.sym_eigen, lambda a: linalg.is_psd(a, tol=1e-10)):
+        for check in (linalg.sym_eigen, linalg.sym_eigenvalues, lambda a: linalg.is_psd(a, tol=1e-10)):
             with pytest.raises(ValueError, match=message):
                 check(m)
 
@@ -83,6 +83,17 @@ class TestSymEigen:
     def test_empty_matrix_has_an_empty_decomposition(self):
         eig = linalg.sym_eigen(np.zeros((0, 0)))
         assert eig.eigenvalues.shape == (0,) and eig.eigenvectors.shape == (0, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 40])
+    def test_eigenvalues_alone_are_sym_eigens(self, n):
+        # without ties the canonical order is eigh's, reversed; exact ties leave
+        # the values equal whatever their order
+        rng = np.random.default_rng(2200 + n)
+        a = rng.standard_normal((n, n))
+        for m in (a + a.T, a @ a.T / max(n, 1), np.eye(n) / max(n, 1)):
+            got = linalg.sym_eigenvalues(m)
+            assert np.array_equal(got, linalg.sym_eigen(m).eigenvalues)
+            assert np.array_equal(got, np.linalg.eigh(m)[0][::-1]) and got.flags.c_contiguous
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)

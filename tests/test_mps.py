@@ -315,7 +315,9 @@ class TestSample:
 
 
 class TestFirstTensor:
-    @pytest.mark.parametrize("scale, ok", [(1 + 5e-6, False), (1 + 1e-13, True), (1.0, True)])
+    @pytest.mark.parametrize(
+        "scale, ok", [(1 + 5e-6, False), (float("nan"), False), (1 + 1e-13, True), (1.0, True)]
+    )
     def test_must_be_the_identity_within_an_absolute_tolerance(self, scale, ok):
         # a relative tolerance of 1e-5 would admit 1.000005 * I, whose Born table sums to 1.00001
         tensors = mps.parity_target(4).tensors
