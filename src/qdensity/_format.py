@@ -11,11 +11,8 @@ checked once: when np.isfinite holds for all of it, each of its rows
 (along the last axis) is written with one %-format of a row template,
 with no further check. Its bytes are those of formatting each entry
 with %.17g and joining them. Any other array (NaN, infinities, another
-dtype, no entries, 0-d) is converted with tolist and encoded as a list.
-A list whose entries are all finite Python floats is written with one
-%-format of the whole row, with the same bytes; any other list (NaN,
-infinities, ints, bools, strings, nested lists) is encoded entry by
-entry.
+dtype, no entries, 0-d) is converted with tolist and encoded as a list,
+entry by entry, as is every list and tuple.
 """
 
 from __future__ import annotations
@@ -34,10 +31,6 @@ def format_float(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(float(x), ".17g")
-
-
-def _finite_floats(row) -> bool:
-    return set(map(type, row)) == {float} and all(map(math.isfinite, row))
 
 
 def _finite_rows(nested: list, ndim: int, row: str, parts: list[str]) -> None:
@@ -98,9 +91,6 @@ def _encode(obj, parts: list[str], indent: int) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
-            return
-        if _finite_floats(obj):
-            parts.append("[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]")
             return
         parts.append("[")
         for i, value in enumerate(obj):

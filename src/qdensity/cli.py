@@ -39,12 +39,15 @@ def _emit(text: str, out_path) -> None:
         click.echo(text)
 
 
-def _read_order_file(path) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Two lines: space-separated x symbols, then y symbols."""
+def _read_order_file(path) -> tuple[Alphabet, Alphabet]:
+    """Two lines: space-separated x symbols, then y symbols, each line's distinct."""
     lines = [ln.strip() for ln in _read_utf8(path, list) if ln.strip()]
     if len(lines) != 2:
         raise _fail(f"ordering file {path} must have exactly two nonempty lines")
-    return tuple(lines[0].split()), tuple(lines[1].split())
+    try:
+        return Alphabet(lines[0].split()), Alphabet(lines[1].split())
+    except ValueError as exc:
+        raise _fail(f"{path}: {exc}")
 
 
 def _csv_rows(path, header: str):
@@ -80,11 +83,10 @@ def _load_distribution_csv(path, order) -> JointDistribution:
     x_alpha, x_codes = Alphabet.first_appearance(x for x, _ in entries)
     y_alpha, y_codes = Alphabet.first_appearance(y for _, y in entries)
     if order is not None:
-        xs, ys = _read_order_file(order)
-        missing = set(x_alpha) - set(xs) | set(y_alpha) - set(ys)
+        x_order, y_order = _read_order_file(order)
+        missing = set(x_alpha) - set(x_order) | set(y_alpha) - set(y_order)
         if missing:
-            raise _fail(f"ordering file omits symbols: {sorted(missing)}")
-        x_order, y_order = Alphabet(xs), Alphabet(ys)
+            raise _fail(f"{order}: ordering file omits symbols: {sorted(missing)}")
         x_codes = x_order.encode(x_alpha)[x_codes]
         y_codes = y_order.encode(y_alpha)[y_codes]
         x_alpha, y_alpha = x_order, y_order

@@ -31,7 +31,7 @@ __all__ = [
     "compare_eigen_concepts",
 ]
 
-MAX_ENUM_SIDE = 24
+MAX_ENUM_SIDE = 24  # Close-by-One walks the power set of the smaller side
 EIGEN_CUTOFF = 1e-10
 SUPPORT_CUTOFF = 1e-10
 
@@ -54,6 +54,7 @@ class Relation:
         pairs = list(pairs)
         x_alphabet, x_codes = Alphabet.first_appearance(x for x, _ in pairs)
         y_alphabet, y_codes = Alphabet.first_appearance(y for _, y in pairs)
+        qprob._product_size(len(x_alphabet), len(y_alphabet))  # before the table is allocated
         table = np.zeros((len(x_alphabet), len(y_alphabet)), dtype=bool)
         table[x_codes, y_codes] = True
         return cls(x_alphabet, y_alphabet, table)
@@ -113,10 +114,7 @@ def _close_by_one(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _concept_masks(r: Relation, include_degenerate: bool) -> tuple[np.ndarray, np.ndarray]:
     """Extent and intent masks of formal_concepts' listing, one row per concept."""
     n, m = len(r.x_alphabet), len(r.y_alphabet)
-    if min(n, m) > MAX_ENUM_SIDE:
-        raise ValueError(
-            f"relation sides {n}x{m} exceed the enumeration limit {MAX_ENUM_SIDE}"
-        )
+    qprob._bounded("relation's smaller side", min(n, m), "symbols", MAX_ENUM_SIDE)
     if m <= n:
         extents, intents = map(np.array, zip(*_close_by_one(r.incidence)))
     else:

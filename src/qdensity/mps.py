@@ -45,7 +45,7 @@ import numpy as np
 from . import linalg
 from ._format import dumps
 from .empirical import SequenceDataset, _suffix_ranks, line_tokens
-from .qprob import Alphabet, _readonly, _unit_total
+from .qprob import Alphabet, _bounded, _readonly, _unit_total
 
 __all__ = [
     "TrainConfig",
@@ -87,6 +87,8 @@ SAMPLE_BLOCK = 1024
 BORN_STACK_WIDTH = 16
 ZERO_NORM = 1e-10  # train refuses a residual map whose norm is below this
 MAX_OUTCOMES = 2**22  # distribution_table enumerates at most this many sequences
+MAX_INDEXED_BITS = 63  # the 2**(n-1) even n-bit strings are indexed in int64
+MAX_EXPERIMENT_BITS = 24  # run_experiment's longest strings
 
 
 @dataclass(frozen=True)
@@ -351,8 +353,7 @@ def distribution_table(m: MatrixProductState) -> np.ndarray:
 
     Materializes the full amplitude vector; guarded to MAX_OUTCOMES.
     """
-    if m.physical_dim**m.n > MAX_OUTCOMES:
-        raise ValueError(f"refusing to enumerate {m.physical_dim}**{m.n} outcomes")
+    _bounded("distribution table", m.physical_dim**m.n, "outcomes", MAX_OUTCOMES)
     amps = m.tensors[0][0]
     for t in m.tensors[1:]:
         amps = np.tensordot(amps, t, axes=([-1], [0]))
@@ -516,10 +517,9 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
 
 def _even_space(n: int) -> int:
     """2**(n-1), the number of even n-bit strings, once n is checked to index them in int64."""
-    if not 2 <= n <= 63:
-        raise ValueError(
-            f"need 2 <= n <= 63, as the 2**(n-1) even strings are indexed in int64; got n={n}"
-        )
+    if n < 2:
+        raise ValueError(f"even strings need n >= 2, got n={n}")
+    _bounded("int64-indexed even-string length", n, "bits", MAX_INDEXED_BITS)
     return 2 ** (n - 1)
 
 
@@ -604,8 +604,7 @@ def run_experiment(
     variable and the core count); output order and values are identical to
     a serial run.
     """
-    if n > 24:
-        raise ValueError("experiment limited to n <= 24")
+    _bounded("experiment length", n, "bits", MAX_EXPERIMENT_BITS)
     if replicas < 1:
         raise ValueError("need at least one replica")
     for f in fractions:
@@ -632,7 +631,7 @@ def save_model(m: MatrixProductState, path) -> None:
         "physical_dim": m.physical_dim,
         "alphabet": list(m.alphabet),
         "bond_dims": list(m.bond_dims),
-        "tensors": [t.tolist() for t in m.tensors],
+        "tensors": list(m.tensors),  # finite float64 arrays: dumps writes them row by row
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(payload))

@@ -64,12 +64,16 @@ def _unit_total(total: float, what: str, tol: float) -> None:
         raise ValueError(f"{what} {total!r}, expected 1")
 
 
+def _bounded(what: str, size: int, unit: str, limit: int) -> int:
+    """size if it is at most limit; the one check of every size bound, made before allocating."""
+    if size > limit:
+        raise ValueError(f"{what} of {size} {unit} exceeds the supported {limit}")
+    return size
+
+
 def _product_size(rows: int, cols: int) -> int:
     """rows * cols, the entries of a table; ValueError above MAX_PRODUCT_DIM."""
-    size = rows * cols
-    if size > MAX_PRODUCT_DIM:
-        raise ValueError(f"product space of {size} entries exceeds the supported {MAX_PRODUCT_DIM}")
-    return size
+    return _bounded("product space", rows * cols, "entries", MAX_PRODUCT_DIM)
 
 
 def _square(mat: np.ndarray, basis) -> None:
@@ -81,7 +85,9 @@ def _square(mat: np.ndarray, basis) -> None:
 
 def _table(values, x: Alphabet, y: Alphabet, what: str, dtype=float) -> np.ndarray:
     """A read-only copy of values, checked to have one row per x and one column per y symbol."""
-    table, shape = _readonly(values, dtype), (len(x), len(y))
+    shape = (len(x), len(y))
+    _product_size(*shape)  # before the copy
+    table = _readonly(values, dtype)
     if table.shape != shape:
         raise ValueError(f"{what} shape {table.shape} does not match alphabets {shape}")
     return table
@@ -158,7 +164,6 @@ class JointDistribution:
 
     def __post_init__(self):
         table = _table(self.probs, self.x_alphabet, self.y_alphabet, "probability table")
-        _product_size(len(self.x_alphabet), len(self.y_alphabet))
         if np.any(table < 0):
             raise ValueError("probabilities must be nonnegative")
         _unit_total(float(table.sum()), "probabilities sum to", NORM_TOL)

@@ -187,6 +187,8 @@ class TestDistributionCsvErrors:
         assert message in result.output
         if message.startswith("line"):
             assert f"{path}: {message}" in result.output
+        if order is not None:
+            assert f"Error: {tmp_path / 'order.txt'}: {message}" in result.output
 
     @pytest.mark.parametrize(
         "command, name",
@@ -555,7 +557,7 @@ class TestParity:
     "args, message",
     [
         (["reduce", "{corpus}", "--cut", "3"], "cut must lie in [1, 2], got 3"),
-        (["concepts", "{identity}"], "relation sides 25x25 exceed the enumeration limit 24"),
+        (["concepts", "{identity}"], "relation's smaller side of 25 symbols exceeds the supported 24"),
         (
             ["entail", "{corpus}", "--pattern", "1=huge", "--against", "1=small"],
             "pattern unobserved: {{1: 'huge'}}",  # format() unescapes the braces
