@@ -12,13 +12,14 @@ the same way, by the command group's one handler, never as a traceback.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import click
 import numpy as np
 
 from . import entailment, fca, mps, qprob
 from ._format import csv_row, dumps
-from .empirical import _read_utf8, empirical_distribution, load_dataset
+from .empirical import _check_cut, _read_utf8, empirical_distribution, load_dataset
 from .qprob import Alphabet, JointDistribution
 
 DIST_HEADER = "x,y,p"
@@ -27,6 +28,15 @@ RELATION_HEADER = "x,y"
 
 def _fail(message: str) -> "click.ClickException":
     return click.ClickException(message)
+
+
+@contextmanager
+def _refused_in(path):
+    """A ValueError the library raises on what the file holds, as an error line naming the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _fail(f"{path}: {exc}")
 
 
 def _emit(text: str, out_path) -> None:
@@ -90,7 +100,7 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         x_codes = x_order.encode(x_alpha)[x_codes]
         y_codes = y_order.encode(y_alpha)[y_codes]
         x_alpha, y_alpha = x_order, y_order
-    try:
+    with _refused_in(path):
         qprob._product_size(len(x_alpha), len(y_alpha))  # before the table is allocated
         table = np.zeros((len(x_alpha), len(y_alpha)))
         table[x_codes, y_codes] = list(entries.values())
@@ -98,8 +108,6 @@ def _load_distribution_csv(path, order) -> JointDistribution:
         qprob._unit_total(total, "probabilities sum to", 1e-9)
         table /= total  # absorb float dust so the strict table invariant holds
         return JointDistribution(x_alpha, y_alpha, table)
-    except ValueError as exc:
-        raise _fail(f"{path}: {exc}")
 
 
 class _Group(click.Group):
@@ -140,7 +148,10 @@ def cmd_reduce(input_path, cut, order, out):
             raise _fail("dataset input needs --cut")
         if order is not None:
             raise _fail("--order applies to a distribution CSV, not to dataset input")
-        pi = empirical_distribution(load_dataset(input_path), cut)
+        ds = load_dataset(input_path)
+        _check_cut(ds.length, cut)  # a flag out of range, reported without the path
+        with _refused_in(input_path):
+            pi = empirical_distribution(ds, cut)
     psi = qprob.build_state(pi)
     rho_x = qprob.reduced_via_gram(psi, "X")
     rho_y = qprob.reduced_via_gram(psi, "Y")
@@ -174,7 +185,8 @@ def _load_relation_csv(path) -> fca.Relation:
         pairs.append((cells[0], cells[1]))
     if not pairs:
         raise _fail(f"{path}: no related pairs")
-    return fca.Relation.from_pairs(pairs)
+    with _refused_in(path):
+        return fca.Relation.from_pairs(pairs)
 
 
 @main.command("concepts")
@@ -237,7 +249,9 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
     probability of --against given --pattern whenever the former refines
     the latter.
     """
-    cs = entailment.CorpusState.from_dataset(load_dataset(corpus_path))
+    ds = load_dataset(corpus_path)
+    with _refused_in(corpus_path):
+        cs = entailment.CorpusState.from_dataset(ds)
     pat = _parse_pattern(pattern)
     ref = _parse_pattern(against)
     normalized = not unnormalized

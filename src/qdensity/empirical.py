@@ -147,7 +147,7 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
 
 
 def _read_utf8(path, read):
-    """read(fh) of the file as UTF-8 text; a decoding failure is a ValueError naming the file."""
+    """read(fh) of the file as UTF-8 text; a decoding failure, or a ValueError read raises, names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return read(fh)
@@ -157,6 +157,8 @@ def _read_utf8(path, read):
                 fh.read().decode("utf-8")
             except UnicodeDecodeError as whole:
                 exc = whole
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -210,6 +212,12 @@ def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _check_cut(length: int, cut: int) -> None:
+    """ValueError unless a cut at cut leaves both sides of a length-long sample nonempty."""
+    if not 1 <= cut < length:
+        raise ValueError(f"cut must lie in [1, {length - 1}], got {cut}")
+
+
 def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Count table of the dataset cut into prefix and suffix.
 
@@ -218,8 +226,7 @@ def cut_counts(ds: SequenceDataset, cut: int) -> tuple[np.ndarray, np.ndarray, n
     by suffix j. A table above qprob.MAX_PRODUCT_DIM entries is refused
     before it is allocated.
     """
-    if not 1 <= cut < ds.length:
-        raise ValueError(f"cut must lie in [1, {ds.length - 1}], got {cut}")
+    _check_cut(ds.length, cut)
     if not ds.n_samples:
         raise ValueError("dataset is empty")
     sides = []

@@ -14,14 +14,15 @@ with the untruncated residual map. The resulting chain of order-3 tensors
 supports exact Born probabilities, inner products, ancestral sampling,
 and the subset-fraction experiment. Every contraction is a few large
 matrix products: the inner product and the sampler's right environments
-take two per site; the sampler advances all its chains at once, one
-product per site for every branch and two more for the weights; and a
-Born probability multiplies its string's site matrices pairwise, in
-ceil(log2 n) levels. On first use a model caches a block table, the
-products of every 2**L consecutive padded site matrices under every
-choice of their symbols, made by the tree's own lower L levels, with L
-as large as keeps it within 32 KB per padded site; a call then gathers
-one block product per block and multiplies only the levels above L. The
+take two per site; the sampler takes blocks of CHAIN_BLOCK chains
+through every site, one product per site for every branch and two more
+for the weights; and a Born probability multiplies its string's site
+matrices pairwise, in ceil(log2 n) levels. On first use a model caches a
+block table, the products of every 2**L consecutive padded site matrices
+under every choice of their symbols, made by the tree's own lower L
+levels, with L as large as keeps it within 32 KB per padded site, and a
+dict from a block's tokens to its row; a call then looks up one row per
+block and multiplies only the levels above L. The
 per-chain work between the products is 1-D as well: the sampler keeps
 one running-sum column per symbol and takes each chain's branch by flat
 row, its draws become lines through a fixed-width string view when
@@ -35,10 +36,12 @@ so the first interior bond has the physical dimension.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -73,6 +76,10 @@ THREADS_ENV = "QDENSITY_THREADS"
 # lookup took the process peak from 51 to 64 MB, and 4096-draw blocks still
 # left a train, eval, sample sequence about 1 MB above 1024-draw ones.
 SAMPLE_BLOCK = 1024
+# chains the sampler takes through every site at a time, so that the few
+# (chains * d, r) arrays alive at once fit a core's 2 MiB L2: for 50000
+# chains of a bit model of chi 2 each was 1.6 MB.
+CHAIN_BLOCK = 8192
 # widest bond for which born_probability multiplies a cached stack of padded
 # site matrices pairwise; its levels cost B**3 per pair where the
 # left-to-right contraction costs B**2 per site. The cap is the measured
@@ -109,9 +116,10 @@ class MatrixProductState:
     alphabet names the physical basis states; it defaults to the index
     strings "0", ..., "d-1", which are the bits when d = 2.
 
-    born_stack caches born_probability's block table (see _born_table). It
-    is built on first use, read-only, and takes no part in repr or
-    pickling; == and hash are identity.
+    born_stack caches born_probability's block table and born_keys its
+    lookups into the table (see _born_table). They are built on
+    first use, never changed, and take no part in repr or pickling; == and
+    hash are identity.
     """
 
     n: int
@@ -119,6 +127,7 @@ class MatrixProductState:
     tensors: tuple[np.ndarray, ...]
     alphabet: Alphabet | None = None
     born_stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    born_keys: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tensors = tuple(np.asarray(t, dtype=float) for t in self.tensors)
@@ -145,7 +154,7 @@ class MatrixProductState:
         object.__setattr__(self, "tensors", tuple(map(_readonly, tensors)))
 
     def __getstate__(self):
-        return {**self.__dict__, "born_stack": None}
+        return {k: v for k, v in self.__dict__.items() if k not in ("born_stack", "born_keys")}
 
     def __setstate__(self, state):
         for t in state["tensors"]:
@@ -249,16 +258,18 @@ def step_density(ds: SequenceDataset, cfg: TrainConfig, site: int) -> np.ndarray
     raise AssertionError("unreachable")
 
 
-def _indices(m: MatrixProductState, s) -> list[int]:
-    """The alphabet index of each token of s; non-string tokens are looked up by str()."""
-    if isinstance(s, str):
-        tokens = line_tokens(s.strip())
-    else:
-        tokens = [t if isinstance(t, str) else str(t) for t in s]
+def _tokens(m: MatrixProductState, s) -> tuple[str, ...]:
+    """The tokens of s, checked against the model's length; non-string tokens are taken by str()."""
+    tokens = line_tokens(s.strip()) if isinstance(s, str) else tuple(map(str, s))
     if len(tokens) != m.n:
         raise ValueError(f"sequence length {len(tokens)} does not match model n={m.n}")
+    return tokens
+
+
+def _indices(m: MatrixProductState, s) -> list[int]:
+    """The alphabet index of each token of s (see _tokens)."""
     try:
-        return list(map(m.alphabet.positions.__getitem__, tokens))
+        return list(map(m.alphabet.positions.__getitem__, _tokens(m, s)))
     except KeyError as exc:
         raise ValueError(f"token {exc.args[0]!r} is not in the model's alphabet") from None
 
@@ -290,18 +301,31 @@ def _born_table(m: MatrixProductState) -> np.ndarray | None:
     pairwise products tab[0::2][:, :, None] @ tab[1::2][:, None, :], the
     products born_probability's tree would make, while the next level
     holds at most P * BORN_STACK_WIDTH**3 floats. Built once per model, on
-    first use, and read-only.
+    first use, and read-only, with born_keys: (j * d**w, lo, hi, codes) per
+    block j, whose real sites are lo to hi - 1, codes mapping their tokens
+    to c with pad sites taking symbol 0; one dict per block width, so at
+    most 2 * d**w + 1 entries, the last for the pad-only blocks' ().
     """
     if m.born_stack is None:
         table = _born_stack(m)
         if table is None:
             return None
-        limit = len(table) * BORN_STACK_WIDTH**3
+        depth = len(table)
+        limit = depth * BORN_STACK_WIDTH**3
         while len(table) > 1 and table.size * table.shape[1] <= 2 * limit:
             blocks, combos, bond, _ = table.shape
             pairs = table[0::2][:, :, None] @ table[1::2][:, None, :]
             table = pairs.reshape(blocks // 2, combos * combos, bond, bond)
         table.flags.writeable = False
+        width, combos = depth // len(table), table.shape[1]
+        spans = [(min(lo, m.n), min(lo + width, m.n)) for lo in range(0, depth, width)]
+        codes = {}
+        for k in {hi - lo for lo, hi in spans}:
+            # product runs most significant first: its i-th k-tuple has c = i * d**(w - k)
+            step = m.physical_dim ** (width - k)
+            codes[k] = dict(zip(itertools.product(m.alphabet.symbols, repeat=k), range(0, combos, step)))
+        keys = tuple((j * combos, lo, hi, codes[hi - lo]) for j, (lo, hi) in enumerate(spans))
+        object.__setattr__(m, "born_keys", keys)  # first: a call that finds the table finds its keys
         object.__setattr__(m, "born_stack", table)
     return m.born_stack
 
@@ -317,31 +341,30 @@ def born_probability(m: MatrixProductState, s) -> float:
     the products of every w consecutive padded site matrices under every
     choice of their symbols, w the widest power of two that keeps the
     table within P * BORN_STACK_WIDTH**3 floats, P the length rounded up
-    to a power of two. One take of the flat rows j * d**w + c, c the
-    symbols of block j read as a base-d number and pad sites taking symbol
-    0, gathers the string's P / w block products, and pairwise products,
+    to a power of two, and one dict per block width from a block's tokens
+    to c, its symbols read as a base-d number with pad sites taking symbol
+    0. A call looks each block's tokens up in its dict, and one take of the
+    flat rows j * d**w + c gathers the string's P / w block products; a
+    block of pad sites only takes row j * d**w. Pairwise products,
     mats[0::2] @ mats[1::2], multiply them in the log2(P / w) levels left
     of the log2 P-level tree: 2 of 5 for the n = 20 bit models of chi 2.
     The amplitude is the product's top-left entry, the same float the full
     tree over the site matrices gives. Models wider than BORN_STACK_WIDTH
     contract left to right instead, one vector-matrix product per site.
     """
-    indices = _indices(m, s)
+    tokens = _tokens(m, s)
     table = _born_table(m)
     if table is None:
         vec = np.ones(1)
-        for tensor, i in zip(m.tensors, indices):
+        for tensor, i in zip(m.tensors, _indices(m, tokens)):
             vec = vec @ tensor[:, i, :]
         return float(vec[0] ** 2)
+    try:
+        keys = [row + codes[tokens[lo:hi]] for row, lo, hi, codes in m.born_keys]
+    except KeyError:
+        _indices(m, tokens)  # names the first token outside the alphabet
+        raise
     blocks, combos, bond, _ = table.shape
-    width, d = (1 << (m.n - 1).bit_length()) // blocks, m.physical_dim
-    indices += [0] * (blocks * width - m.n)  # pad sites take symbol 0
-    keys = []
-    for j in range(blocks):
-        key = j  # folding the block's symbols in makes it j * combos + c
-        for i in indices[j * width : j * width + width]:
-            key = key * d + i
-        keys.append(key)
     mats = table.reshape(blocks * combos, bond, bond).take(keys, axis=0)
     while len(mats) > 1:
         mats = mats[0::2] @ mats[1::2]
@@ -423,8 +446,14 @@ def overlap_distance(overlap: float) -> float:
     return float(-np.log(min(overlap, 1.0)))
 
 
-def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
-    """The (count, n) alphabet indices of count > 0 ancestral draws."""
+def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]:
+    """The alphabet indices of count > 0 ancestral draws, in pieces of SAMPLE_BLOCK rows.
+
+    Blocks of CHAIN_BLOCK chains go through every site into one buffer, so
+    a piece holds its draws only until the next is requested. At site k,
+    block [lo, hi) draws the uniforms PCG64(seed) gives after k * count + lo
+    outputs, by advance: those an all-chains draw gives the block.
+    """
     d = m.physical_dim
     envs: list[np.ndarray] = [np.ones((1, 1))]
     for t in reversed(m.tensors):
@@ -432,38 +461,53 @@ def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
         half = (t.reshape(l * d, r) @ envs[-1]).reshape(l, d * r)
         envs.append(half @ t.reshape(l, d * r).T)
     envs.reverse()  # envs[k] covers sites k..n-1 (0-based)
-    rng = np.random.default_rng(seed)
-    vecs = np.ones((count, 1))
-    choices = np.empty((count, m.n), dtype=np.min_scalar_type(d - 1))  # one byte each for d <= 256
-    offsets = np.arange(count) * d
-    for k, t in enumerate(m.tensors):
-        l, _, r = t.shape
-        branch = (vecs @ t.reshape(l, d * r)).reshape(count * d, r)  # row c * d + p: chain c, symbol p
-        # ((branch @ env) * branch) @ ones(r), in place: one more (count * d, r)
-        # array alive here raised the parity_model benchmark's peak RSS from
-        # 54.6 to 57.1 MB
-        weights = branch @ envs[k + 1]
-        weights *= branch
-        weights = weights @ np.ones(r)
-        weights = np.clip(weights, 0.0, None, out=weights).reshape(count, d)
-        # running sums one symbol column at a time, the sequential adds of a
-        # cumsum along the row; they never decrease, so a draw beyond the
-        # total is beyond the other d - 1 too, and counting those caps the pick
-        running = [weights[:, 0]]
-        for p in range(1, d):
-            running.append(running[-1] + weights[:, p])
-        scaled = rng.random(count) * running.pop()
-        pick = sum(column < scaled for column in running)
-        choices[:, k] = pick
-        chosen = offsets + pick
-        vecs = branch.take(chosen, axis=0)
-        scale = weights.reshape(-1)[chosen]
-        scale[scale == 0] = 1.0  # an all-zero chain picks symbol 0 and stays as it is
-        vecs /= np.sqrt(scale)[:, None]
-        # only vecs outlives its site: with this site's arrays still alive when
-        # the next branch was formed, the parity_model benchmark's peak RSS
-        # rose from 53.8 to 55.5 MB
-        del branch, weights, running, scaled, pick, chosen, scale
+    buffer = np.empty((min(CHAIN_BLOCK, count), m.n), dtype=np.min_scalar_type(d - 1))
+    for lo in range(0, count, CHAIN_BLOCK):
+        chains = min(CHAIN_BLOCK, count - lo)
+        rng = np.random.Generator(np.random.PCG64(seed).advance(lo))
+        vecs = np.ones((chains, 1))
+        choices = buffer[:chains]
+        offsets = np.arange(chains) * d
+        for k, t in enumerate(m.tensors):
+            l, _, r = t.shape
+            branch = (vecs @ t.reshape(l, d * r)).reshape(chains * d, r)  # row c * d + p: chain c, symbol p
+            # ((branch @ env) * branch) @ ones(r), in place: one more (chains * d, r)
+            # array alive here raised the parity_model benchmark's peak RSS from
+            # 54.6 to 57.1 MB
+            weights = branch @ envs[k + 1]
+            weights *= branch
+            weights = weights @ np.ones(r)
+            weights = np.clip(weights, 0.0, None, out=weights).reshape(chains, d)
+            # running sums one symbol column at a time, the sequential adds of a
+            # cumsum along the row; they never decrease, so a draw beyond the
+            # total is beyond the other d - 1 too, and counting those caps the pick
+            running = [weights[:, 0]]
+            for p in range(1, d):
+                running.append(running[-1] + weights[:, p])
+            scaled = rng.random(chains) * running.pop()
+            rng.bit_generator.advance(count - chains)  # on to chain lo's uniform at the next site
+            pick = sum(column < scaled for column in running)
+            choices[:, k] = pick
+            chosen = offsets + pick
+            vecs = branch.take(chosen, axis=0)
+            scale = weights.reshape(-1)[chosen]
+            scale[scale == 0] = 1.0  # an all-zero chain picks symbol 0 and stays as it is
+            vecs /= np.sqrt(scale)[:, None]
+            # only vecs outlives its site: with this site's arrays still alive when
+            # the next branch was formed, the parity_model benchmark's peak RSS
+            # rose from 53.8 to 55.5 MB
+            del branch, weights, running, scaled, pick, chosen, scale
+        for start in range(0, chains, SAMPLE_BLOCK):
+            yield choices[start : start + SAMPLE_BLOCK]
+
+
+def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
+    """The (count, n) alphabet indices of count > 0 ancestral draws (see _draws)."""
+    choices = np.empty((count, m.n), dtype=np.min_scalar_type(m.physical_dim - 1))
+    lo = 0
+    for piece in _draws(m, count, seed):
+        choices[lo : lo + len(piece)] = piece
+        lo += len(piece)
     return choices
 
 
@@ -471,47 +515,46 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
     """Ancestral draws from the exact Born distribution, seeded.
 
     Conditional probabilities come from right environments, so each symbol
-    is drawn from its true conditional given the prefix so far. All chains
-    advance together, one site per round: one matrix product maps every
-    chain's vector through every symbol's slice, the conditional weights
-    are the branches' quadratic forms in the environment, and a chain picks
-    the number of running weight sums its uniform draw, scaled by the
-    total, exceeds; one whose weights are all zero picks symbol 0. The
-    running sums are built one symbol column at a time, 1-D adds in the
-    order a cumsum along the row makes them. Its chosen branch, taken by
-    flat row, is rescaled by the square root of its weight, when that is
-    not zero. Each draw is a line of alphabet tokens, joined without
-    separator when every token is one character and by single spaces
-    otherwise, so parse_dataset reads the lines back.
+    is drawn from its true conditional given the prefix so far. Blocks of
+    CHAIN_BLOCK chains advance together, one site per round: one matrix
+    product maps every chain's vector through every symbol's slice, the
+    conditional weights are the branches' quadratic forms in the
+    environment, and a chain picks the number of running weight sums its
+    uniform draw, scaled by the total, exceeds; one whose weights are all
+    zero picks symbol 0. The running sums are built one symbol column at a
+    time, 1-D adds in the order a cumsum along the row makes them. Its
+    chosen branch, taken by flat row, is rescaled by the square root of
+    its weight, when that is not zero. Each draw is a line of alphabet
+    tokens, joined without separator when every token is one character
+    and by single spaces otherwise, so parse_dataset reads the lines back.
 
-    Only the draws' index matrix outlives the draw; each site's arrays are
-    freed before the next site's, and all of them before the lines are
-    built. The lines are decoded SAMPLE_BLOCK draws at a time, so the
-    tokens alive at once stay bounded whatever the count. When every
-    symbol is one character and none is NUL, a block is one lookup of its
-    index rows in a one-character string table, viewed as one n-character
-    string per row; otherwise it is one lookup in an object table and a
-    join per row.
+    Every chain takes its own uniforms of the seeded stream (see _draws),
+    so the draws do not depend on the block size. Each block is decoded as
+    it is drawn, SAMPLE_BLOCK draws at a time, so only the lines outlive it
+    and the tokens alive at once stay bounded whatever the count. When
+    every symbol is one character and none is NUL, a piece is one lookup
+    of its index rows in a one-character string table, viewed as one
+    n-character string per row; otherwise it is one lookup in an object
+    table and a join per row.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
         return []
-    choices = _sample_codes(m, count, seed)
     symbols = m.alphabet.symbols
     chars = all(len(t) == 1 for t in symbols)
     lines: list[str] = []
     if chars and "\0" not in symbols:
-        # each row of a block viewed as one string; numpy strips a string's
+        # each row of a piece viewed as one string; numpy strips a string's
         # trailing NULs, so a NUL symbol takes the join below
         table = np.array(symbols, dtype="<U1")
-        for lo in range(0, count, SAMPLE_BLOCK):
-            lines.extend(table[choices[lo : lo + SAMPLE_BLOCK]].view(f"<U{m.n}")[:, 0].tolist())
+        for piece in _draws(m, count, seed):
+            lines.extend(table[piece].view(f"<U{m.n}")[:, 0].tolist())
         return lines
     table = np.array(symbols, dtype=object)
     sep = "" if chars else " "
-    for lo in range(0, count, SAMPLE_BLOCK):
-        lines.extend(map(sep.join, table[choices[lo : lo + SAMPLE_BLOCK]].tolist()))
+    for piece in _draws(m, count, seed):
+        lines.extend(map(sep.join, table[piece].tolist()))
     return lines
 
 

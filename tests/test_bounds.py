@@ -128,23 +128,24 @@ def lines(related, head=None, row="{} {}"):
 
 
 # test_cli.py covers a distribution CSV's product refusal, which names the
-# file, and the enumeration side's, at the command line
+# file, and the enumeration side's, at the command line. A refusal of what
+# an input file holds names the file; one of a flag's value does not.
 @pytest.mark.parametrize(
-    "text, args, bound",
+    "text, args, bound, prefix",
     [
-        (lines(pairs(1025, 1024)), ["reduce", "{path}", "--cut", "1"], "product-cut-counts"),
-        (lines(pairs(1025, 1024), "x,y", "{},{}"), ["concepts", "{path}"], "product-from-pairs"),
-        ("", ["parity", "experiment", "--n", "25", "--fractions", "0.5", "--replicas", "1"], "experiment-length"),
-        ("", ["parity", "train", "--n", "64", "--fraction", "0.5", "--model", "{model}"], "int64-length"),
+        (lines(pairs(1025, 1024)), ["reduce", "{path}", "--cut", "1"], "product-cut-counts", "{path}: "),
+        (lines(pairs(1025, 1024), "x,y", "{},{}"), ["concepts", "{path}"], "product-from-pairs", "{path}: "),
+        ("", ["parity", "experiment", "--n", "25", "--fractions", "0.5", "--replicas", "1"], "experiment-length", ""),
+        ("", ["parity", "train", "--n", "64", "--fraction", "0.5", "--model", "{model}"], "int64-length", ""),
     ],
     ids=["reduce-cut", "concepts", "experiment", "train"],
 )
-def test_commands_report_the_refusal_as_an_error_line(tmp_path, text, args, bound):
+def test_commands_report_the_refusal_as_an_error_line(tmp_path, text, args, bound, prefix):
     path, model = tmp_path / "input", tmp_path / "m.json"
     path.write_text(text)
     result = CliRunner().invoke(main, [a.format(path=path, model=model) for a in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: {BOUNDS[bound].message}\n" in result.output
+    assert f"Error: {prefix.format(path=path)}{BOUNDS[bound].message}\n" in result.output
     assert "Traceback" not in result.output
     assert not model.exists()

@@ -574,7 +574,7 @@ class TestParity:
         ),
         (
             ["entail", "{wide}", "--pattern", "1=p0", "--against", "1=p1"],
-            "product space of 1210000 entries exceeds the supported 1048576",
+            "{wide}: product space of 1210000 entries exceeds the supported 1048576",
         ),
     ],
     ids=["reduce", "concepts", "entail", "train", "eval", "sample", "experiment", "entail-bound"],

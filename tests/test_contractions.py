@@ -120,7 +120,11 @@ class TestParentOracles:
     float against verbatim copies of their cumsum, object-join and fancy-index
     versions."""
 
-    @pytest.mark.parametrize("count", [1, mps.SAMPLE_BLOCK - 1, mps.SAMPLE_BLOCK + 1, 50000])
+    @pytest.mark.parametrize(
+        "count",
+        [1, mps.SAMPLE_BLOCK - 1, mps.SAMPLE_BLOCK + 1, mps.CHAIN_BLOCK - 1, mps.CHAIN_BLOCK + 1,
+         2 * mps.CHAIN_BLOCK + 1, 50000],
+    )
     @pytest.mark.parametrize("name", list(parent_cases()))
     def test_draws_and_lines_equal_the_parent(self, name, count):
         m = parent_cases()[name]
@@ -141,9 +145,13 @@ class TestParentOracles:
     def test_born_probabilities_equal_the_parent(self, name, width, monkeypatch):
         monkeypatch.setattr(mps, "BORN_STACK_WIDTH", width)
         m, twin = parent_cases()[name], parent_cases()[name]
-        lines = mps.sample(m, 300, seed=7)
-        assert [mps.born_probability(m, s) for s in lines] == [parent_born_probability(twin, s) for s in lines]
-        assert (m.born_stack is None) == (width == 0)
+        symbols = m.alphabet.symbols
+        rows = mps._sample_codes(m, 100, seed=8).tolist()
+        inputs = mps.sample(m, 300, seed=7) + [[symbols[i] for i in row] for row in rows]
+        if all(t.isdigit() for t in symbols):
+            inputs += rows  # ints, looked up by str()
+        assert [mps.born_probability(m, s) for s in inputs] == [parent_born_probability(twin, s) for s in inputs]
+        assert (m.born_stack is None) == (m.born_keys is None) == (width == 0)
 
     @pytest.mark.parametrize("width", [mps.BORN_STACK_WIDTH, 0])
     def test_born_probabilities_match_the_table(self, width, monkeypatch):
@@ -245,8 +253,9 @@ class TestBornStackCache:
         assert (repr(m), hash(m), pickle.dumps(m)) == before
         assert repr(m) == repr(twin) and m == m and m != twin
         back = pickle.loads(pickle.dumps(m))
-        assert back.born_stack is None
+        assert back.born_stack is None and back.born_keys is None
         assert mps.born_probability(back, "011000110") == first
+        assert mps.born_probability(back, [0, 1, 1, 0, 0, 0, 1, 1, 0]) == first
         assert all(not t.flags.writeable for t in back.tensors)
 
     def test_tensors_and_stack_stay_read_only(self):
@@ -261,11 +270,53 @@ class TestBornStackCache:
             m.tensors[1][0, 0, 0] = 2.0
 
 
+class TestBornKeys:
+    """born_probability's per-block lookups of a string's tokens: their
+    layout, and the messages of the strings they cannot look up."""
+
+    @pytest.mark.parametrize(
+        "n, spans",
+        [
+            (13, [(0, 8), (8, 13)]),  # the last block partly padded
+            (20, [(0, 8), (8, 16), (16, 20), (20, 20)]),  # and a block of pad sites only
+            (16, [(0, 8), (8, 16)]),  # a power of two: no pad sites
+        ],
+    )
+    def test_one_lookup_per_block(self, n, spans):
+        m = block_case(n, 2, 4)
+        mps.born_probability(m, "0" * n)
+        assert [(lo, hi) for _, lo, hi, _ in m.born_keys] == spans
+        combos = m.born_stack.shape[1]
+        assert [row for row, *_ in m.born_keys] == [j * combos for j in range(len(spans))]
+        # one dict per block width, the pad-only blocks' mapping () to 0
+        dicts = {id(codes): codes for *_, codes in m.born_keys}
+        assert sorted(map(len, dicts.values())) == sorted(2**k for k in {hi - lo for lo, hi in spans})
+        assert sum(map(len, dicts.values())) <= 2 * combos + 1
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ("0" * 19, "sequence length 19 does not match model n=20"),
+            ("0 1", "sequence length 2 does not match model n=20"),
+            ("2" + "0" * 18 + "3", "token '2' is not in the model's alphabet"),
+            ("0" * 18 + "x1", "token 'x' is not in the model's alphabet"),
+            ([0] * 9 + [5] + [0] * 10, "token '5' is not in the model's alphabet"),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, s, message):
+        m = block_case(20, 2, 4)
+        mps.born_probability(m, "0" * 20)  # the keys are built
+        with pytest.raises(ValueError) as refused:
+            mps.born_probability(m, s)
+        assert str(refused.value) == message
+
+
 # (n, d, widest bond): the tables have blocks of 8 sites at d = 2 and of 4 at
 # d = 3 and 5, save at n = 3, one block of 4; so n = 3, 9 and 13 are no
-# multiple of the width, nor is 20 at d = 2. At bond 16, d = 2 merges to
+# multiple of the width, nor is 20 at d = 2, whose last block holds pad
+# sites only, while n = 16 has no pad site. At bond 16, d = 2 merges to
 # blocks of 4 and d = 6 stays at the per-site stack.
-BLOCK_CASES = [(n, d, 4) for n in (3, 9, 13, 20) for d in (2, 3, 5)] + [(13, 2, 16), (6, 6, 16)]
+BLOCK_CASES = [(n, d, 4) for n in (3, 9, 13, 16, 20) for d in (2, 3, 5)] + [(13, 2, 16), (6, 6, 16)]
 
 
 def block_case(n: int, d: int, bond: int) -> MatrixProductState:

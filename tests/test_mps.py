@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,37 @@ class TestSample:
             assert [mps.sample(m, count, seed=17) for count in (3, 150)] == lines
         assert all(len(s) == 6 for s in expected[0][1])
         assert all(len(s.split(" ")) == 4 and set(s.split(" ")) <= set(words) for s in expected[1][1])
+
+    @pytest.mark.parametrize("block", [1, 7, 10**9])
+    def test_draws_independent_of_chain_block(self, monkeypatch, block):
+        # each chain takes its own uniforms of the seeded stream, whichever
+        # chains are drawn with it
+        rng = np.random.default_rng(18)
+        words = Alphabet(("red", "green", "blue"))
+        rows = [tuple(words.symbols[i] for i in r) for r in rng.integers(0, 3, size=(40, 4))]
+        models = [mps.train(even_dataset(6), CFG), mps.train(SequenceDataset(words, 4, rows), TrainConfig(chi=3))]
+
+        def drawn(m):
+            return [(mps._sample_codes(m, c, seed=19).tobytes(), mps.sample(m, c, seed=19)) for c in (1, 3, 150)]
+
+        expected = [drawn(m) for m in models]
+        monkeypatch.setattr(mps, "CHAIN_BLOCK", block)
+        assert [drawn(m) for m in models] == expected
+
+    def test_working_memory_does_not_grow_with_the_count(self):
+        # the chains go through the sites a block at a time, so the heap the
+        # draw needs besides its result is one block's, whatever the count
+        model = mps.train(mps.draw_even_subset(20, 2000, 1), CFG)
+        excess = []
+        for count in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                codes = mps._sample_codes(model, count, seed=20)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - codes.nbytes)
+        assert excess[1] <= 1.05 * excess[0]
 
     def test_trained_model_frequencies(self):
         model = mps.train(even_dataset(5), CFG)
