@@ -310,6 +310,8 @@ def parity_train(n, fraction, data, chi, seed, model_path):
     try:
         if data is not None:
             ds = load_dataset(data)
+            with _refused_in(data):
+                mps._check_trainable(ds)
         else:
             ds = mps.draw_even_subset(n, mps.even_subset_count(n, fraction), seed)
         model = mps.train(ds, mps.TrainConfig(chi=chi))

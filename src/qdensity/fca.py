@@ -11,7 +11,7 @@ union of complete bipartite clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from typing import Iterable
 
@@ -38,15 +38,23 @@ SUPPORT_CUTOFF = 1e-10
 
 @dataclass(frozen=True)
 class Relation:
-    """Boolean incidence table between an object and an attribute alphabet."""
+    """Boolean incidence table between an object and an attribute alphabet.
+
+    concept_masks caches every concept's masks (see _concept_masks): built
+    on first use, never changed, and left out of repr, == and pickling.
+    """
 
     x_alphabet: Alphabet
     y_alphabet: Alphabet
     incidence: np.ndarray
+    concept_masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = qprob._table(self.incidence, self.x_alphabet, self.y_alphabet, "incidence", bool)
         object.__setattr__(self, "incidence", table)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "concept_masks"}
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Relation":
@@ -112,20 +120,29 @@ def _close_by_one(table: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _concept_masks(r: Relation, include_degenerate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Extent and intent masks of formal_concepts' listing, one row per concept."""
-    n, m = len(r.x_alphabet), len(r.y_alphabet)
-    qprob._bounded("relation's smaller side", min(n, m), "symbols", MAX_ENUM_SIDE)
-    if m <= n:
-        extents, intents = map(np.array, zip(*_close_by_one(r.incidence)))
-    else:
-        intents, extents = map(np.array, zip(*_close_by_one(r.incidence.T)))
+    """Extent and intent masks of formal_concepts' listing, one row per concept.
+
+    The first call walks r and caches every concept's sorted masks,
+    read-only, as r.concept_masks; no two share an extent, so dropping the
+    degenerate rows keeps the order.
+    """
+    if r.concept_masks is None:
+        n, m = len(r.x_alphabet), len(r.y_alphabet)
+        qprob._bounded("relation's smaller side", min(n, m), "symbols", MAX_ENUM_SIDE)
+        if m <= n:
+            extents, intents = map(np.array, zip(*_close_by_one(r.incidence)))
+        else:
+            intents, extents = map(np.array, zip(*_close_by_one(r.incidence.T)))
+        # Between equal-size extents, the sorted index lists compare like the
+        # masks read from the first object with True before False.
+        order = np.lexsort(np.vstack([~extents[:, ::-1].T, extents.sum(axis=1)]))
+        masks = tuple(qprob._readonly(a[order], bool) for a in (extents, intents))
+        object.__setattr__(r, "concept_masks", masks)
+    extents, intents = r.concept_masks
     proper = extents.any(axis=1) & intents.any(axis=1)
     if not include_degenerate and proper.any():
-        extents, intents = extents[proper], intents[proper]
-    # Between equal-size extents, the sorted index lists compare like the
-    # masks read from the first object with True before False.
-    order = np.lexsort(np.vstack([~extents[:, ::-1].T, extents.sum(axis=1)]))
-    return extents[order], intents[order]
+        return extents[proper], intents[proper]
+    return extents, intents
 
 
 def formal_concepts(r: Relation, include_degenerate: bool = False) -> list[FormalConcept]:

@@ -22,12 +22,12 @@ block table, the products of every 2**L consecutive padded site matrices
 under every choice of their symbols, made by the tree's own lower L
 levels, with L as large as keeps it within 32 KB per padded site, and a
 dict from a block's tokens to its row; a call then looks up one row per
-block and multiplies only the levels above L. The
-per-chain work between the products is 1-D as well: the sampler keeps
-one running-sum column per symbol and takes each chain's branch by flat
-row, its draws become lines through a fixed-width string view when
-every symbol is one character, and a Born probability takes its block
-products from the flattened table by one take.
+block and multiplies only the levels above L. The per-chain work between
+the products is 1-D as well: the sampler keeps one running-sum column per
+symbol and takes each chain's branch by flat row, each block's draws
+become lines together, through a fixed-width string view when every
+symbol is one character, and a Born probability takes its block products
+from the flattened table by one take.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -71,11 +71,6 @@ __all__ = [
 ]
 
 THREADS_ENV = "QDENSITY_THREADS"
-# draws decoded per symbol-table lookup in sample. A block's token lists live
-# only while it is joined: decoding 50000 draws of a 20-site model in one
-# lookup took the process peak from 51 to 64 MB, and 4096-draw blocks still
-# left a train, eval, sample sequence about 1 MB above 1024-draw ones.
-SAMPLE_BLOCK = 1024
 # chains the sampler takes through every site at a time, so that the few
 # (chains * d, r) arrays alive at once fit a core's 2 MiB L2: for 50000
 # chains of a bit model of chi 2 each was 1.6 MB.
@@ -116,18 +111,16 @@ class MatrixProductState:
     alphabet names the physical basis states; it defaults to the index
     strings "0", ..., "d-1", which are the bits when d = 2.
 
-    born_stack caches born_probability's block table and born_keys its
-    lookups into the table (see _born_table). They are built on
-    first use, never changed, and take no part in repr or pickling; == and
-    hash are identity.
+    born_cache holds born_probability's block table and its lookups into
+    the table (see _born_table). It is built on first use, never changed,
+    and takes no part in repr or pickling; == and hash are identity.
     """
 
     n: int
     physical_dim: int
     tensors: tuple[np.ndarray, ...]
     alphabet: Alphabet | None = None
-    born_stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    born_keys: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    born_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tensors = tuple(np.asarray(t, dtype=float) for t in self.tensors)
@@ -154,7 +147,7 @@ class MatrixProductState:
         object.__setattr__(self, "tensors", tuple(map(_readonly, tensors)))
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("born_stack", "born_keys")}
+        return {k: v for k, v in self.__dict__.items() if k != "born_cache"}
 
     def __setstate__(self, state):
         for t in state["tensors"]:
@@ -193,13 +186,18 @@ def _group_sums(
     return sums.reshape(count, b * d)
 
 
-def _sweep(ds: SequenceDataset, cfg: TrainConfig):
-    """Yield (site, density, isometry) per interior step, then the residual map."""
-    n, d = ds.length, len(ds.alphabet)
-    if n < 3:
+def _check_trainable(ds: SequenceDataset) -> None:
+    """The sweep's checks of its data: ValueError unless ds holds samples of length at least 3."""
+    if ds.length < 3:
         raise ValueError("training requires sequences of length at least 3")
     if not ds.n_samples:
         raise ValueError("training dataset is empty")
+
+
+def _sweep(ds: SequenceDataset, cfg: TrainConfig):
+    """Yield (site, density, isometry) per interior step, then the residual map."""
+    n, d = ds.length, len(ds.alphabet)
+    _check_trainable(ds)
     if cfg.chi > d * d:
         raise ValueError(f"chi={cfg.chi} exceeds the first step's rank bound {d * d}")
     rows, weights, ranks = _sample_arrays(ds)
@@ -292,21 +290,21 @@ def _born_stack(m: MatrixProductState) -> np.ndarray | None:
     return stack
 
 
-def _born_table(m: MatrixProductState) -> np.ndarray | None:
-    """The model's block table, (P / w, d**w, B, B); None when B > BORN_STACK_WIDTH.
+def _born_table(m: MatrixProductState) -> tuple[np.ndarray, tuple] | None:
+    """The model's block table, (P / w, d**w, B, B), and its keys; None when B > BORN_STACK_WIDTH.
 
     table[j, c] is the product of the padded matrices of sites j * w to
     j * w + w - 1 under the symbols whose base-d digits, most significant
     first, are c. It starts as _born_stack, w = 1, and doubles w by the
     pairwise products tab[0::2][:, :, None] @ tab[1::2][:, None, :], the
     products born_probability's tree would make, while the next level
-    holds at most P * BORN_STACK_WIDTH**3 floats. Built once per model, on
-    first use, and read-only, with born_keys: (j * d**w, lo, hi, codes) per
-    block j, whose real sites are lo to hi - 1, codes mapping their tokens
-    to c with pad sites taking symbol 0; one dict per block width, so at
-    most 2 * d**w + 1 entries, the last for the pad-only blocks' ().
+    holds at most P * BORN_STACK_WIDTH**3 floats. The keys are (j * d**w,
+    lo, hi, codes) per block j, real sites lo to hi - 1, codes mapping their
+    tokens to c with pad sites taking symbol 0: one dict per block width, at
+    most 2 * d**w + 1 entries, the last for the pad-only blocks' (). Cached
+    as m.born_cache on first use, the table read-only.
     """
-    if m.born_stack is None:
+    if m.born_cache is None:
         table = _born_stack(m)
         if table is None:
             return None
@@ -325,9 +323,8 @@ def _born_table(m: MatrixProductState) -> np.ndarray | None:
             step = m.physical_dim ** (width - k)
             codes[k] = dict(zip(itertools.product(m.alphabet.symbols, repeat=k), range(0, combos, step)))
         keys = tuple((j * combos, lo, hi, codes[hi - lo]) for j, (lo, hi) in enumerate(spans))
-        object.__setattr__(m, "born_keys", keys)  # first: a call that finds the table finds its keys
-        object.__setattr__(m, "born_stack", table)
-    return m.born_stack
+        object.__setattr__(m, "born_cache", (table, keys))
+    return m.born_cache
 
 
 def born_probability(m: MatrixProductState, s) -> float:
@@ -353,14 +350,15 @@ def born_probability(m: MatrixProductState, s) -> float:
     contract left to right instead, one vector-matrix product per site.
     """
     tokens = _tokens(m, s)
-    table = _born_table(m)
-    if table is None:
+    cache = _born_table(m)
+    if cache is None:
         vec = np.ones(1)
         for tensor, i in zip(m.tensors, _indices(m, tokens)):
             vec = vec @ tensor[:, i, :]
         return float(vec[0] ** 2)
+    table, lookups = cache
     try:
-        keys = [row + codes[tokens[lo:hi]] for row, lo, hi, codes in m.born_keys]
+        keys = [row + codes[tokens[lo:hi]] for row, lo, hi, codes in lookups]
     except KeyError:
         _indices(m, tokens)  # names the first token outside the alphabet
         raise
@@ -447,10 +445,10 @@ def overlap_distance(overlap: float) -> float:
 
 
 def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]:
-    """The alphabet indices of count > 0 ancestral draws, in pieces of SAMPLE_BLOCK rows.
+    """The alphabet indices of count ancestral draws, one block of CHAIN_BLOCK rows at a time.
 
-    Blocks of CHAIN_BLOCK chains go through every site into one buffer, so
-    a piece holds its draws only until the next is requested. At site k,
+    Each block of chains goes through every site into one buffer, so a
+    block holds its draws only until the next is requested. At site k,
     block [lo, hi) draws the uniforms PCG64(seed) gives after k * count + lo
     outputs, by advance: those an all-chains draw gives the block.
     """
@@ -471,13 +469,7 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
         for k, t in enumerate(m.tensors):
             l, _, r = t.shape
             branch = (vecs @ t.reshape(l, d * r)).reshape(chains * d, r)  # row c * d + p: chain c, symbol p
-            # ((branch @ env) * branch) @ ones(r), in place: one more (chains * d, r)
-            # array alive here raised the parity_model benchmark's peak RSS from
-            # 54.6 to 57.1 MB
-            weights = branch @ envs[k + 1]
-            weights *= branch
-            weights = weights @ np.ones(r)
-            weights = np.clip(weights, 0.0, None, out=weights).reshape(chains, d)
+            weights = np.clip((branch @ envs[k + 1]) * branch @ np.ones(r), 0.0, None).reshape(chains, d)
             # running sums one symbol column at a time, the sequential adds of a
             # cumsum along the row; they never decrease, so a draw beyond the
             # total is beyond the other d - 1 too, and counting those caps the pick
@@ -493,21 +485,14 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
             scale = weights.reshape(-1)[chosen]
             scale[scale == 0] = 1.0  # an all-zero chain picks symbol 0 and stays as it is
             vecs /= np.sqrt(scale)[:, None]
-            # only vecs outlives its site: with this site's arrays still alive when
-            # the next branch was formed, the parity_model benchmark's peak RSS
-            # rose from 53.8 to 55.5 MB
-            del branch, weights, running, scaled, pick, chosen, scale
-        for start in range(0, chains, SAMPLE_BLOCK):
-            yield choices[start : start + SAMPLE_BLOCK]
+        yield choices
 
 
 def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
-    """The (count, n) alphabet indices of count > 0 ancestral draws (see _draws)."""
+    """The (count, n) alphabet indices of count ancestral draws (see _draws)."""
     choices = np.empty((count, m.n), dtype=np.min_scalar_type(m.physical_dim - 1))
-    lo = 0
-    for piece in _draws(m, count, seed):
-        choices[lo : lo + len(piece)] = piece
-        lo += len(piece)
+    for lo, block in zip(range(0, count, CHAIN_BLOCK), _draws(m, count, seed)):
+        choices[lo : lo + len(block)] = block
     return choices
 
 
@@ -529,32 +514,27 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
     and by single spaces otherwise, so parse_dataset reads the lines back.
 
     Every chain takes its own uniforms of the seeded stream (see _draws),
-    so the draws do not depend on the block size. Each block is decoded as
-    it is drawn, SAMPLE_BLOCK draws at a time, so only the lines outlive it
-    and the tokens alive at once stay bounded whatever the count. When
-    every symbol is one character and none is NUL, a piece is one lookup
-    of its index rows in a one-character string table, viewed as one
-    n-character string per row; otherwise it is one lookup in an object
-    table and a join per row.
+    so the draws do not depend on the block size. Each block is decoded
+    whole as it is drawn, so only the lines outlive it: by a lookup in a
+    one-character string table, viewed as one n-character string per row,
+    when every symbol is one character and none is NUL, and otherwise by a
+    lookup in an object table and a join per row.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return []
     symbols = m.alphabet.symbols
     chars = all(len(t) == 1 for t in symbols)
     lines: list[str] = []
     if chars and "\0" not in symbols:
-        # each row of a piece viewed as one string; numpy strips a string's
+        # each row of a block viewed as one string; numpy strips a string's
         # trailing NULs, so a NUL symbol takes the join below
         table = np.array(symbols, dtype="<U1")
-        for piece in _draws(m, count, seed):
-            lines.extend(table[piece].view(f"<U{m.n}")[:, 0].tolist())
+        for block in _draws(m, count, seed):
+            lines.extend(table[block].view(f"<U{m.n}")[:, 0].tolist())
         return lines
-    table = np.array(symbols, dtype=object)
-    sep = "" if chars else " "
-    for piece in _draws(m, count, seed):
-        lines.extend(map(sep.join, table[piece].tolist()))
+    table, sep = np.array(symbols, dtype=object), "" if chars else " "
+    for block in _draws(m, count, seed):
+        lines.extend(map(sep.join, table[block].tolist()))
     return lines
 
 

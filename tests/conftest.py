@@ -186,19 +186,14 @@ def parent_sample_codes(m, count: int, seed: int) -> np.ndarray:
 
 
 def parent_sample(m, count: int, seed: int) -> list[str]:
-    """Oracle: mps.sample as it was, every block decoded by an object-table
+    """Oracle: mps.sample as it was, every draw decoded by an object-table
     lookup and a join per row."""
-    from qdensity.mps import SAMPLE_BLOCK
-
     if count == 0:
         return []
     choices = parent_sample_codes(m, count, seed)
     symbols = np.array(m.alphabet.symbols, dtype=object)
     sep = "" if all(len(t) == 1 for t in m.alphabet) else " "
-    lines: list[str] = []
-    for lo in range(0, count, SAMPLE_BLOCK):
-        lines.extend(map(sep.join, symbols[choices[lo : lo + SAMPLE_BLOCK]].tolist()))
-    return lines
+    return list(map(sep.join, symbols[choices].tolist()))
 
 
 def parent_born_probability(m, s) -> float:

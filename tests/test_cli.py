@@ -576,13 +576,24 @@ class TestParity:
             ["entail", "{wide}", "--pattern", "1=p0", "--against", "1=p1"],
             "{wide}: product space of 1210000 entries exceeds the supported 1048576",
         ),
+        (
+            ["parity", "train", "--data", "{two}", "--model", "{out}"],
+            "{two}: training requires sequences of length at least 3",
+        ),
+        (
+            # the rank bound is about the --chi flag, so it does not name the file
+            ["parity", "train", "--data", "{corpus}", "--chi", "40", "--model", "{out}"],
+            "chi=40 exceeds the first step's rank bound 36",
+        ),
     ],
-    ids=["reduce", "concepts", "entail", "train", "eval", "sample", "experiment", "entail-bound"],
+    ids=["reduce", "concepts", "entail", "train", "eval", "sample", "experiment", "entail-bound",
+         "train-data", "train-data-chi"],
 )
 def test_library_value_error_is_an_error_line(runner, tmp_path, args, message):
     # each command leaves the library's ValueError to the command group's one handler
-    paths = {name: tmp_path / name for name in ("corpus", "identity", "short", "model", "out", "wide")}
+    paths = {name: tmp_path / name for name in ("corpus", "identity", "short", "model", "out", "wide", "two")}
     paths["corpus"].write_text("small ripe fruit\nlarge ripe fruit\nsmall green vegetable\n")
+    paths["two"].write_text("ab\nba\n")
     paths["wide"].write_text("".join(f"p{i} s{i}\n" for i in range(1100)))
     paths["identity"].write_text("x,y\n" + "".join(f"x{i},y{i}\n" for i in range(25)))
     paths["short"].write_text('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": []}')

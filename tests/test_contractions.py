@@ -2,6 +2,7 @@
 one-site-at-a-time einsum sampler, and Born probabilities, from the cached
 table of block products or left to right, against distribution_table."""
 
+import dataclasses
 import itertools
 import pickle
 
@@ -122,7 +123,7 @@ class TestParentOracles:
 
     @pytest.mark.parametrize(
         "count",
-        [1, mps.SAMPLE_BLOCK - 1, mps.SAMPLE_BLOCK + 1, mps.CHAIN_BLOCK - 1, mps.CHAIN_BLOCK + 1,
+        [1, 1023, 1025, mps.CHAIN_BLOCK - 1, mps.CHAIN_BLOCK + 1,
          2 * mps.CHAIN_BLOCK + 1, 50000],
     )
     @pytest.mark.parametrize("name", list(parent_cases()))
@@ -151,7 +152,7 @@ class TestParentOracles:
         if all(t.isdigit() for t in symbols):
             inputs += rows  # ints, looked up by str()
         assert [mps.born_probability(m, s) for s in inputs] == [parent_born_probability(twin, s) for s in inputs]
-        assert (m.born_stack is None) == (m.born_keys is None) == (width == 0)
+        assert (m.born_cache is None) == (width == 0)
 
     @pytest.mark.parametrize("width", [mps.BORN_STACK_WIDTH, 0])
     def test_born_probabilities_match_the_table(self, width, monkeypatch):
@@ -219,7 +220,7 @@ class TestBornOracle:
         monkeypatch.setattr(mps, "BORN_STACK_WIDTH", 0)
         for m in hand_built_models() + small(trained_models())[:8]:
             assert_born_matches_table(m)
-            assert m.born_stack is None
+            assert m.born_cache is None
 
     def test_wide_model_contracts_left_to_right(self):
         rng = np.random.default_rng(903)
@@ -227,7 +228,7 @@ class TestBornOracle:
         wide = mps.train(ds, TrainConfig(chi=mps.BORN_STACK_WIDTH + 1))
         assert max(wide.bond_dims) > mps.BORN_STACK_WIDTH
         assert_born_matches_table(wide)
-        assert wide.born_stack is None
+        assert wide.born_cache is None
 
     @pytest.mark.parametrize(
         "n, depth", [(2, 2), (3, 4), (4, 4), (5, 8), (8, 8), (9, 16), (20, 32)]
@@ -249,11 +250,11 @@ class TestBornStackCache:
         twin = MatrixProductState(m.n, m.physical_dim, m.tensors, m.alphabet)
         before = (repr(m), hash(m), pickle.dumps(m))
         first = mps.born_probability(m, "011000110")
-        assert m.born_stack.shape == (2, 256, 3, 3)  # merged: two blocks of 8 sites
+        assert m.born_cache[0].shape == (2, 256, 3, 3)  # merged: two blocks of 8 sites
         assert (repr(m), hash(m), pickle.dumps(m)) == before
         assert repr(m) == repr(twin) and m == m and m != twin
         back = pickle.loads(pickle.dumps(m))
-        assert back.born_stack is None and back.born_keys is None
+        assert back.born_cache is None
         assert mps.born_probability(back, "011000110") == first
         assert mps.born_probability(back, [0, 1, 1, 0, 0, 0, 1, 1, 0]) == first
         assert all(not t.flags.writeable for t in back.tensors)
@@ -261,11 +262,13 @@ class TestBornStackCache:
     def test_tensors_and_stack_stay_read_only(self):
         m = mps.parity_target(6)
         mps.born_probability(m, "011000")
-        assert m.born_stack.shape == (1, 256, 2, 2)  # one block of the whole padded string
-        assert mps._born_table(m) is m.born_stack
+        assert m.born_cache[0].shape == (1, 256, 2, 2)  # one block of the whole padded string
+        assert mps._born_table(m) is m.born_cache
         assert all(not t.flags.writeable for t in m.tensors)
         with pytest.raises(ValueError):
-            m.born_stack[0, 0, 0, 0] = 2.0
+            m.born_cache[0][0, 0, 0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.born_cache = None
         with pytest.raises(ValueError):
             m.tensors[1][0, 0, 0] = 2.0
 
@@ -285,11 +288,12 @@ class TestBornKeys:
     def test_one_lookup_per_block(self, n, spans):
         m = block_case(n, 2, 4)
         mps.born_probability(m, "0" * n)
-        assert [(lo, hi) for _, lo, hi, _ in m.born_keys] == spans
-        combos = m.born_stack.shape[1]
-        assert [row for row, *_ in m.born_keys] == [j * combos for j in range(len(spans))]
+        table, keys = m.born_cache
+        assert [(lo, hi) for _, lo, hi, _ in keys] == spans
+        combos = table.shape[1]
+        assert [row for row, *_ in keys] == [j * combos for j in range(len(spans))]
         # one dict per block width, the pad-only blocks' mapping () to 0
-        dicts = {id(codes): codes for *_, codes in m.born_keys}
+        dicts = {id(codes): codes for *_, codes in keys}
         assert sorted(map(len, dicts.values())) == sorted(2**k for k in {hi - lo for lo, hi in spans})
         assert sum(map(len, dicts.values())) <= 2 * combos + 1
 
@@ -350,7 +354,7 @@ class TestBornBlockTable:
         lines = lines_of(m, codes)
         born = [mps.born_probability(m, s) for s in lines]
         assert born == [parent_born_probability(twin, s) for s in lines]
-        assert (m.born_stack is None) == (width == 0)
+        assert (m.born_cache is None) == (width == 0)
         if d**n <= mps.MAX_OUTCOMES:
             table = mps.distribution_table(m)[codes @ d ** np.arange(n - 1, -1, -1)]
             assert np.all(np.abs(np.array(born) - table) <= np.maximum(1e-13 * table, 1e-15))
@@ -359,7 +363,7 @@ class TestBornBlockTable:
     def test_table_holds_the_trees_block_products(self, n, d, bond):
         m = block_case(n, d, bond)
         stack = mps._born_stack(m)
-        table = mps._born_table(m)
+        table, _ = mps._born_table(m)
         depth = len(stack)
         blocks, combos = table.shape[:2]
         width = depth // blocks
@@ -379,7 +383,8 @@ class TestBornBlockTable:
         # an n = 20 bit model of chi 2: 4 blocks of 8 sites, 1024 rows, 32 KB
         m = mps.train(mps.draw_even_subset(20, 2000, 1), TrainConfig(chi=2))
         mps.born_probability(m, "0" * 20)
-        assert m.born_stack.shape == (4, 256, 2, 2) and m.born_stack.nbytes == 32768
+        table, _ = m.born_cache
+        assert table.shape == (4, 256, 2, 2) and table.nbytes == 32768
 
     def test_int_tokens_on_a_bit_model(self):
         m = block_case(13, 2, 4)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -296,6 +298,46 @@ class TestCompareEigenConcepts:
         r = fca.Relation(Alphabet(("a",)), Alphabet(("u",)), np.zeros((1, 1), bool))
         with pytest.raises(ValueError):
             fca.compare_eigen_concepts(r)
+
+
+class TestConceptCache:
+    """The Close-by-One walk runs once per relation, whichever function asks first."""
+
+    def test_one_walk_serves_every_call(self, monkeypatch):
+        walks = []
+        walk = fca._close_by_one
+        monkeypatch.setattr(fca, "_close_by_one", lambda table: walks.append(table.shape) or walk(table))
+        rng = np.random.default_rng(2501)
+        for shape in ((6, 9), (9, 6), (7, 7)):
+            table = rng.random(shape) < 0.5
+            r = relation(table)
+            report = fca.compare_eigen_concepts(r).to_dict()
+            concepts = fca.formal_concepts(r)
+            every = fca.formal_concepts(r, include_degenerate=True)
+            assert report == fca.compare_eigen_concepts(relation(table)).to_dict()
+            assert concepts == fca.formal_concepts(relation(table))
+            assert every == fca.formal_concepts(relation(table), include_degenerate=True)
+        assert len(walks) == 3 * 4  # one per relation: r and its three fresh twins
+
+    def test_cache_is_invisible_and_read_only(self):
+        r = four_edge()
+        before = (repr(r), pickle.dumps(r))
+        concepts = fca.formal_concepts(r)
+        extents, intents = r.concept_masks
+        assert (repr(r), pickle.dumps(r)) == before
+        assert not extents.flags.writeable and not intents.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.concept_masks = None
+        back = pickle.loads(pickle.dumps(r))
+        assert back.concept_masks is None
+        assert fca.formal_concepts(back) == concepts
+
+    def test_a_refused_relation_caches_nothing(self):
+        r = relation(np.eye(fca.MAX_ENUM_SIDE + 1, dtype=bool))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="exceeds the supported 24"):
+                fca.formal_concepts(r)
+        assert r.concept_masks is None
 
 
 @settings(max_examples=80, deadline=None)

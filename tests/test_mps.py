@@ -280,23 +280,15 @@ class TestSample:
         assert mps.sample(model, 50, seed=12) == mps.sample(model, 50, seed=12)
         assert mps.sample(model, 50, seed=12) != mps.sample(model, 50, seed=13)
 
-    @pytest.mark.parametrize("block", [1, 7, 64, 10**9])
-    def test_lines_independent_of_block_size(self, monkeypatch, block):
-        rng = np.random.default_rng(16)
-        words = Alphabet(("red", "green", "blue"))
-        rows = [tuple(words.symbols[i] for i in r) for r in rng.integers(0, 3, size=(40, 4))]
-        models = [mps.train(even_dataset(6), CFG), mps.train(SequenceDataset(words, 4, rows), TrainConfig(chi=3))]
-        expected = [[mps.sample(m, count, seed=17) for count in (3, 150)] for m in models]
-        monkeypatch.setattr(mps, "SAMPLE_BLOCK", block)
-        for m, lines in zip(models, expected):
-            assert [mps.sample(m, count, seed=17) for count in (3, 150)] == lines
-        assert all(len(s) == 6 for s in expected[0][1])
-        assert all(len(s.split(" ")) == 4 and set(s.split(" ")) <= set(words) for s in expected[1][1])
+    def test_zero_draws(self):
+        model = mps.train(even_dataset(6), CFG)
+        assert mps.sample(model, 0, seed=1) == []
+        assert mps._sample_codes(model, 0, seed=1).shape == (0, 6)
 
-    @pytest.mark.parametrize("block", [1, 7, 10**9])
+    @pytest.mark.parametrize("block", [1, 7, 64, 10**9])
     def test_draws_independent_of_chain_block(self, monkeypatch, block):
         # each chain takes its own uniforms of the seeded stream, whichever
-        # chains are drawn with it
+        # chains are drawn with it, and each block is decoded whole
         rng = np.random.default_rng(18)
         words = Alphabet(("red", "green", "blue"))
         rows = [tuple(words.symbols[i] for i in r) for r in rng.integers(0, 3, size=(40, 4))]
@@ -308,6 +300,8 @@ class TestSample:
         expected = [drawn(m) for m in models]
         monkeypatch.setattr(mps, "CHAIN_BLOCK", block)
         assert [drawn(m) for m in models] == expected
+        assert all(len(s) == 6 for s in expected[0][2][1])
+        assert all(len(s.split(" ")) == 4 and set(s.split(" ")) <= set(words) for s in expected[1][2][1])
 
     def test_working_memory_does_not_grow_with_the_count(self):
         # the chains go through the sites a block at a time, so the heap the
@@ -322,6 +316,24 @@ class TestSample:
             finally:
                 tracemalloc.stop()
             excess.append(peak - codes.nbytes)
+        assert excess[1] <= 1.05 * excess[0]
+
+    def test_join_path_heap_does_not_grow_with_the_count(self):
+        # word draws are joined a block at a time, so besides the lines it
+        # returns, the heap sample needs is one block's, whatever the count
+        rng = np.random.default_rng(21)
+        words = Alphabet(("red", "green", "blue"))
+        model = mps.train(SequenceDataset.from_codes(words, rng.integers(3, size=(60, 6))), TrainConfig(chi=3))
+        excess = []
+        for count in (10**4, 10**5):
+            tracemalloc.start()
+            try:
+                lines = mps.sample(model, count, seed=22)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(lines) == count and lines[0].count(" ") == 5
+            excess.append(peak - held)
         assert excess[1] <= 1.05 * excess[0]
 
     def test_trained_model_frequencies(self):
