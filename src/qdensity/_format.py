@@ -9,10 +9,14 @@ json.loads can parse everything back.
 A float64 array, whose dtype already fixes the type of every entry, is
 checked once: when np.isfinite holds for all of it, each of its rows
 (along the last axis) is written with one %-format of a row template,
-with no further check. Its bytes are those of formatting each entry
-with %.17g and joining them. Any other array (NaN, infinities, another
-dtype, no entries, 0-d) is converted with tolist and encoded as a list,
-entry by entry, as is every list and tuple.
+straight from the array, with no further check. Its bytes are those of
+formatting each entry with %.17g and joining them. Any other array (NaN,
+infinities, another dtype, no entries, 0-d) is converted with tolist and
+encoded as a list, entry by entry, as is every list and tuple.
+
+Text goes out through a write callable as it is formatted: dumps(obj, fh)
+writes each piece to fh, so the memory it needs is bounded by the largest
+row, not by the size of the output; dumps(obj) joins the same pieces.
 """
 
 from __future__ import annotations
@@ -33,29 +37,29 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _finite_rows(nested: list, ndim: int, row: str, parts: list[str]) -> None:
-    """Append a finite float64 array's nested tolist, each last-axis row by the row template."""
-    if ndim == 1:
-        parts.append(row % tuple(nested))
+def _finite_rows(a: np.ndarray, row: str, write) -> None:
+    """Write a finite float64 array one last-axis row at a time, each by the row template."""
+    if a.ndim == 1:
+        write(row % tuple(a.tolist()))
         return
-    parts.append("[")
-    for i, sub in enumerate(nested):
+    write("[")
+    for i, sub in enumerate(a):
         if i:
-            parts.append(", ")
-        _finite_rows(sub, ndim - 1, row, parts)
-    parts.append("]")
+            write(", ")
+        _finite_rows(sub, row, write)
+    write("]")
 
 
 def _string(s: str) -> str:
     return json.dumps(s, ensure_ascii=False)
 
 
-def _encode(obj, parts: list[str], indent: int) -> None:
+def _encode(obj, write, indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
             row = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
-            _finite_rows(obj.tolist(), obj.ndim, row, parts)
+            _finite_rows(obj, row, write)
             return
         obj = obj.tolist()
     elif isinstance(obj, np.bool_):
@@ -65,47 +69,50 @@ def _encode(obj, parts: list[str], indent: int) -> None:
     elif isinstance(obj, np.floating):
         obj = float(obj)
     if obj is None:
-        parts.append("null")
+        write("null")
     elif obj is True:
-        parts.append("true")
+        write("true")
     elif obj is False:
-        parts.append("false")
+        write("false")
     elif isinstance(obj, int):
-        parts.append(str(obj))
+        write(str(obj))
     elif isinstance(obj, float):
-        parts.append(format_float(obj))
+        write(format_float(obj))
     elif isinstance(obj, str):
-        parts.append(_string(obj))
+        write(_string(obj))
     elif isinstance(obj, dict):
         if not obj:
-            parts.append("{}")
+            write("{}")
             return
-        parts.append("{\n")
+        write("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            parts.append(pad + "  " + _string(key) + ": ")
-            _encode(value, parts, indent + 1)
-            parts.append(",\n" if i < len(obj) - 1 else "\n")
-        parts.append(pad + "}")
+            write(pad + "  " + _string(key) + ": ")
+            _encode(value, write, indent + 1)
+            write(",\n" if i < len(obj) - 1 else "\n")
+        write(pad + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
-            parts.append("[]")
+            write("[]")
             return
-        parts.append("[")
+        write("[")
         for i, value in enumerate(obj):
-            _encode(value, parts, indent)
+            _encode(value, write, indent)
             if i < len(obj) - 1:
-                parts.append(", ")
-        parts.append("]")
+                write(", ")
+        write("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj) -> str:
-    """Serialize to JSON text with pinned float formatting."""
+def dumps(obj, fh=None) -> str | None:
+    """JSON text with pinned float formatting; with fh, written to fh as it is formatted."""
+    if fh is not None:
+        _encode(obj, fh.write, 0)
+        return None
     parts: list[str] = []
-    _encode(obj, parts, 0)
+    _encode(obj, parts.append, 0)
     return "".join(parts)
 
 

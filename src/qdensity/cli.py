@@ -1,12 +1,13 @@
 """Command-line surface: reduce, concepts, entail, and the parity pipeline.
 
 Results go to stdout or the --out file as JSON/CSV with pinned float
-formatting. Every subcommand is deterministic given its flags and seeds.
-Errors go to stderr as one "Error: ..." line with exit status 1: the
-readers name the file and the line they refuse, or the offset of a byte
-that is not UTF-8, and any ValueError the library raises on input it
-refuses, such as a table above qprob.MAX_PRODUCT_DIM entries, is reported
-the same way, by the command group's one handler, never as a traceback.
+formatting, JSON written as it is formatted, once the result exists.
+Every subcommand is deterministic given its flags and seeds. Errors go
+to stderr as one "Error: ..." line with exit status 1: the readers name
+the file and the line they refuse, or the offset of a byte that is not
+UTF-8, and any ValueError the library raises on input it refuses, such
+as a table above qprob.MAX_PRODUCT_DIM entries, is reported the same
+way, by the command group's one handler, never as a traceback.
 """
 
 from __future__ import annotations
@@ -39,14 +40,29 @@ def _refused_in(path):
         raise _fail(f"{path}: {exc}")
 
 
-def _emit(text: str, out_path) -> None:
+@contextmanager
+def _output(out_path):
+    """The --out file, opened only once the result exists, or stdout; closed by one newline."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            yield fh
+            fh.write("\n")
     else:
-        click.echo(text)
+        fh = click.get_text_stream("stdout")
+        yield fh
+        fh.write("\n")
+        fh.flush()
+
+
+def _emit(text: str, out_path) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
+
+
+def _emit_json(result: dict, out_path) -> None:
+    """The result as JSON, written row by row as dumps formats it."""
+    with _output(out_path) as fh:
+        dumps(result, fh)
 
 
 def _read_order_file(path) -> tuple[Alphabet, Alphabet]:
@@ -174,7 +190,7 @@ def cmd_reduce(input_path, cut, order, out):
             "entanglement": qprob.shannon_entropy(sd.coefficients**2),
         },
     }
-    _emit(dumps(result), out)
+    _emit_json(result, out)
 
 
 def _load_relation_csv(path) -> fca.Relation:
@@ -207,7 +223,7 @@ def cmd_concepts(relation_path, compare_eigen, out):
     }
     if compare_eigen:
         result["eigen_comparison"] = fca.compare_eigen_concepts(relation).to_dict()
-    _emit(dumps(result), out)
+    _emit_json(result, out)
 
 
 def _parse_pattern(text: str) -> dict[int, str]:
@@ -275,7 +291,7 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
         "difference_min_eigenvalue": min_eig,
         "entails": min_eig >= -qprob.DENSITY_TOL,
     }
-    _emit(dumps(result), out)
+    _emit_json(result, out)
 
 
 @main.group("parity")
@@ -343,7 +359,7 @@ def parity_eval(model_path, out):
         "inner_product": float(overlap),
         "bhattacharyya": mps.overlap_distance(overlap),
     }
-    _emit(dumps(result), out)
+    _emit_json(result, out)
 
 
 @parity.command("sample")

@@ -37,7 +37,7 @@ class PatternUnobservedError(ValueError):
     """No observed prefix matches the pattern."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusState:
     """State of a corpus cut before its last position.
 
@@ -72,7 +72,7 @@ class CorpusState:
         return _decode(self.dataset.alphabet, self.prefix_codes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntailmentDensity:
     """Suffix-space density of a position-anchored expression.
 

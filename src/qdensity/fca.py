@@ -36,18 +36,18 @@ EIGEN_CUTOFF = 1e-10
 SUPPORT_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
     """Boolean incidence table between an object and an attribute alphabet.
 
     concept_masks caches every concept's masks (see _concept_masks): built
-    on first use, never changed, and left out of repr, == and pickling.
+    on first use, never changed, and left out of repr and pickling.
     """
 
     x_alphabet: Alphabet
     y_alphabet: Alphabet
     incidence: np.ndarray
-    concept_masks: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    concept_masks: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         table = qprob._table(self.incidence, self.x_alphabet, self.y_alphabet, "incidence", bool)

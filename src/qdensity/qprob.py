@@ -150,7 +150,7 @@ class ProductBasis:
         return len(self.x) * len(self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability table over an ordered product of two alphabets.
 
@@ -170,7 +170,7 @@ class JointDistribution:
         object.__setattr__(self, "probs", table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector over the product basis, stored as its amplitude table.
 
@@ -198,7 +198,7 @@ class PureState:
         return np.ascontiguousarray(self.amplitudes.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Symmetric PSD matrix with unit trace over a declared basis.
 
@@ -226,7 +226,7 @@ class DensityMatrix:
         return dm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchmidtData:
     """Schmidt decomposition of a two-factor pure state.
 

@@ -154,6 +154,68 @@ class TestReduce:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestStreamedOutput:
+    """A JSON result is written as it is formatted: stdout and the --out file get the same bytes."""
+
+    @pytest.fixture
+    def paths(self, runner, tmp_path, three_phrase_csv, five_phrase_corpus):
+        relation = tmp_path / "relation.csv"
+        relation.write_text(FOUR_EDGE_CSV)
+        model = tmp_path / "model.json"
+        invoke(runner, ["parity", "train", "--n", "6", "--fraction", "0.5", "--seed", "3", "--model", str(model)])
+        return {"dist": three_phrase_csv, "corpus": five_phrase_corpus, "relation": relation, "model": model,
+                "out": tmp_path / "out.json"}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["reduce", "{corpus}", "--cut", "2"],
+            ["reduce", "{dist}"],
+            ["concepts", "{relation}", "--compare-eigen"],
+            ["entail", "{corpus}", "--pattern", "3=orange", "--against", "2=ripe,3=orange"],
+            ["parity", "eval", "--model", "{model}"],
+        ],
+        ids=["reduce-dataset", "reduce-csv", "concepts", "entail", "eval"],
+    )
+    def test_stdout_bytes_equal_the_out_file(self, runner, paths, args):
+        args = [a.format(**paths) for a in args]
+        shown = invoke(runner, args)
+        assert shown.exit_code == 0
+        assert invoke(runner, args + ["--out", str(paths["out"])]).stdout_bytes == b""
+        assert shown.stdout_bytes == paths["out"].read_bytes()
+        assert shown.stdout_bytes.endswith(b"\n}\n")  # one final newline
+
+    def test_process_stdout_equals_the_out_file(self, tmp_path):
+        # the process's own stdout stream, not the test runner's capture
+        rng = np.random.default_rng(30)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(f"p{a} s{b}\n" for a, b in rng.integers(60, size=(2000, 2))))
+        out = tmp_path / "out.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(qdensity.__file__).parents[1]))
+        run = [sys.executable, "-m", "qdensity.cli", "reduce", str(corpus), "--cut", "1"]
+        shown = subprocess.run(run, env=env, capture_output=True, timeout=120)
+        assert shown.returncode == 0, shown.stderr
+        assert subprocess.run(run + ["--out", str(out)], env=env, timeout=120).returncode == 0
+        assert shown.stdout == out.read_bytes() and len(shown.stdout) > 10**5
+
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["reduce", "{corpus}", "--cut", "9"], None),
+            (["reduce", "{bad}"], "x,y,p\na,u,-1\n"),
+        ],
+        ids=["cut", "csv"],
+    )
+    def test_refused_input_leaves_the_out_file_alone(self, runner, paths, tmp_path, args, text):
+        paths["bad"] = tmp_path / "bad.csv"
+        if text is not None:
+            paths["bad"].write_text(text)
+        paths["out"].write_bytes(b"an earlier result\n")
+        result = runner.invoke(main, [a.format(**paths) for a in args] + ["--out", str(paths["out"])])
+        assert result.exit_code == 1 and result.output.startswith("Error: ")
+        assert paths["out"].read_bytes() == b"an earlier result\n"
+
+
 class TestDistributionCsvErrors:
     @pytest.mark.parametrize(
         "text, order, message",

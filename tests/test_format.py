@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,37 @@ class TestDumpsAgainstOracle:
         rows = [values[i : i + 397] for i in range(0, len(values), 397)]
         assert dumps(rows) == per_element_dumps(rows)
         assert dumps(np.array(values)) == per_element_dumps(values)
+
+
+class TestStreamedDumps:
+    def test_written_pieces_join_to_dumps(self, tmp_path):
+        rng = np.random.default_rng(40)
+        for _ in range(50):
+            obj = random_value(rng)
+            path = tmp_path / "out.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                assert dumps(obj, fh) is None
+            assert path.read_text(encoding="utf-8") == dumps(obj)
+
+    def test_heap_is_bounded_by_a_row_not_by_the_output(self, tmp_path):
+        # 4.9 MB of JSON from a 400 x 400 and a 180 x 400 array: the heap the
+        # writer needs was measured at 0.20 MB (the larger array's isfinite
+        # mask, 0.16 MB, and one row's text), against 9.9 MB for joining the
+        # whole text and writing it at once
+        rng = np.random.default_rng(41)
+        result = {"labels": [f"s{i}" for i in range(400)], "rho": rng.standard_normal((400, 400)),
+                  "vectors": rng.standard_normal((180, 400)), "entropies": {"x": 0.5}}
+        path = tmp_path / "out.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                dumps(result, fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert path.stat().st_size >= 4 * 10**6
+        assert peak <= 0.5 * 10**6
+        assert path.read_text(encoding="utf-8") == dumps(result)
 
 
 class TestPercentG:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdensity import mps, qprob
+from qdensity import entailment, mps, qprob
+from qdensity.empirical import SequenceDataset
 from qdensity.fca import Relation
 from qdensity.qprob import Alphabet, DensityMatrix, JointDistribution, PureState, SchmidtData
 
@@ -23,6 +24,22 @@ def point_mass(n=2, m=2):
     )
 
 
+def _corpus():
+    return entailment.CorpusState.from_dataset(SequenceDataset(AB, 2, [("a", "b"), ("b", "a"), ("a", "a")]))
+
+
+# each makes one of the records that hold arrays, equal in content on every call
+ARRAY_RECORDS = {
+    "JointDistribution": lambda: point_mass(),
+    "PureState": lambda: qprob.build_state(point_mass()),
+    "DensityMatrix": lambda: qprob.reduced_via_gram(qprob.build_state(point_mass()), "X"),
+    "SchmidtData": lambda: qprob.schmidt(qprob.build_state(point_mass())),
+    "Relation": lambda: Relation.from_pairs([("a", "x"), ("b", "y")]),
+    "CorpusState": _corpus,
+    "EntailmentDensity": lambda: entailment.pattern_density(_corpus(), {1: "a"}),
+}
+
+
 def plain_distribution(probs):
     """A 1-factor distribution as an (n x 1) joint table."""
     table = np.asarray(probs, dtype=float).reshape(-1, 1)
@@ -32,6 +49,14 @@ def plain_distribution(probs):
 
 
 class TestTypes:
+    @pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+    def test_records_holding_arrays_compare_and_hash_by_identity(self, name):
+        first, second = ARRAY_RECORDS[name](), ARRAY_RECORDS[name]()
+        assert type(first).__name__ == name
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert {first, second, first} == {second, first} and len({first, second}) == 2
+
     def test_alphabet_rejects_duplicates(self):
         with pytest.raises(ValueError):
             Alphabet(("a", "a"))
