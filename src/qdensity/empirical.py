@@ -7,10 +7,13 @@ off-diagonals count shared neighbors (length-two paths). For parity-block
 graphs the top eigenvectors of the prefix density are plane rotations whose
 angles come from the block degrees and shared-suffix counts.
 
-Code rows are grouped one way, by _rank_pass' right-to-left ranking
-pass: cut_counts ranks its prefix and suffix rows with it, keeping only
-the running ranks, and the MPS sweep reads every cut's suffix groups off
-the table of all of them, _suffix_ranks.
+Every dataset stores its codes in one dtype, _code_dtype of its alphabet
+size: the smallest unsigned integer that holds them, uint8 up to 256
+symbols. Code rows are grouped one way, by _rank_pass' right-to-left
+ranking pass: cut_counts ranks its prefix and suffix rows with it, keeping
+only the running ranks, and the MPS sweep reads every cut's suffix groups
+off the table of all of them, _suffix_ranks, which is int32 below 2**31
+samples. Every key built from codes is computed in intp.
 
 A dataset file is read only by load_dataset, and a count table is allocated
 only by cut_counts, which checks qprob.MAX_PRODUCT_DIM first.
@@ -45,6 +48,16 @@ __all__ = [
 PARITY_PREFIX_ORDER = (("0", "0"), ("1", "1"), ("0", "1"), ("1", "0"))
 
 
+def _code_dtype(d: int) -> np.dtype:
+    """The smallest unsigned dtype holding the codes 0 .. d - 1 of a d-symbol alphabet."""
+    return np.min_scalar_type(d - 1)
+
+
+def _rank_dtype(n: int) -> type:
+    """The dtype of the ranks of n keys: int32 below 2**31 keys, intp from there."""
+    return np.int32 if n < 2**31 else np.intp
+
+
 def _decode(alphabet: Alphabet, codes: np.ndarray) -> tuple[tuple[str, ...], ...]:
     symbols = np.array(alphabet.symbols, dtype=object)
     return tuple(map(tuple, symbols[codes].tolist()))
@@ -54,12 +67,13 @@ def _decode(alphabet: Alphabet, codes: np.ndarray) -> tuple[tuple[str, ...], ...
 class SequenceDataset:
     """Multiset of fixed-length token sequences over one alphabet.
 
-    codes is a read-only (n_samples, length) int64 matrix: codes[i, k] is
-    the alphabet index of token k of sample i. It is stored column-major,
-    because every reader takes it one column at a time: the ranking pass,
-    the cut's prefix and suffix columns, and the sweep's symbols at each
-    site. Every reduction reads the codes; samples decodes them back to
-    token tuples on request.
+    codes is a read-only (n_samples, length) matrix in the smallest unsigned
+    dtype of the alphabet, _code_dtype(len(alphabet)): uint8 up to 256
+    symbols, uint16 up to 65536. codes[i, k] is the alphabet index of token
+    k of sample i. It is stored column-major, because every reader takes it
+    one column at a time: the ranking pass, the cut's prefix and suffix
+    columns, and the sweep's symbols at each site. Every reduction reads the
+    codes; samples decodes them back to token tuples on request.
     """
 
     alphabet: Alphabet
@@ -74,12 +88,13 @@ class SequenceDataset:
                 raise ValueError(f"sample {sample!r} does not have length {length}")
             return sample
 
-        codes = alphabet.encode(chain.from_iterable(map(checked, samples)))
-        self._store(alphabet, np.array(codes.reshape(-1, length), dtype=np.int64, order="F"))
+        codes = alphabet.encode(chain.from_iterable(map(checked, samples))).reshape(-1, length)
+        self._store(alphabet, np.array(codes, dtype=_code_dtype(len(alphabet)), order="F"))
 
     def _store(self, alphabet: Alphabet, codes: np.ndarray) -> "SequenceDataset":
-        """self over the alphabet, taking over codes: a column-major int64 code
-        matrix its caller owns and no longer writes. It is made read-only."""
+        """self over the alphabet, taking over codes: a column-major code matrix
+        in _code_dtype(len(alphabet)) that its caller owns and no longer
+        writes. It is made read-only."""
         codes.flags.writeable = False
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "codes", codes)
@@ -92,7 +107,8 @@ class SequenceDataset:
         ok = not arr.size or arr.dtype.kind in "iu" and 0 <= arr.min() <= arr.max() < len(alphabet)
         if arr.ndim != 2 or arr.shape[1] < 1 or not ok:
             raise ValueError(f"codes must be a 2-d matrix of integers in [0, {len(alphabet)})")
-        return cls.__new__(cls)._store(alphabet, np.array(arr, dtype=np.int64, order="F"))
+        dtype = _code_dtype(len(alphabet))
+        return cls.__new__(cls)._store(alphabet, np.array(arr, dtype=dtype, order="F"))
 
     @property
     def length(self) -> int:
@@ -142,7 +158,8 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
         raise ValueError(f"samples have mixed lengths {sorted(set(lengths))}")
     if alphabet is None:
         alphabet = Alphabet(("0", "1")) if set(seen) <= {"0", "1"} else seen
-    codes = alphabet.encode(seen)[codes]
+    # remapped in the narrow dtype, so the parse holds no second int64 matrix
+    codes = alphabet.encode(seen).astype(_code_dtype(len(alphabet)))[codes]
     return SequenceDataset.from_codes(alphabet, codes.reshape(len(lengths), -1))
 
 
@@ -178,7 +195,8 @@ def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
     if span <= 2 * len(keys):
         seen = np.zeros(span, dtype=bool)
         seen[keys] = True
-        table = np.cumsum(seen, dtype=np.intp) - 1
+        table = np.cumsum(seen, dtype=_rank_dtype(len(keys)))
+        table -= 1
         return table[keys], int(table[-1]) + 1 if span else 0
     distinct = np.unique(keys)
     return np.searchsorted(distinct, keys), len(distinct)
@@ -192,21 +210,25 @@ def _rank_pass(codes: np.ndarray) -> Iterator[np.ndarray]:
     (codes[:, k], suffix at k + 1), so ranking the keys codes[:, k] * size
     + g, where g holds the ranks at k + 1 and size their count, orders the
     suffixes lexicographically, exactly as a row-wise np.unique of
-    codes[:, k:] does. The keys lie below d * size <= d * n_samples, d =
+    codes[:, k:] does. The keys are computed in intp, whatever the codes'
+    dtype: under NumPy 2's promotion a uint8 column times a Python int stays
+    uint8 and wraps. They lie below d * size <= d * n_samples, d =
     codes.max() + 1, so _dense_ranks ranks them by presence table whenever
     d * size is at most twice n_samples (every column of a bit dataset) and
     by sort otherwise. The last ranks yielded rank the whole rows.
     """
     d = int(codes.max(initial=0)) + 1
-    g, size = np.zeros(len(codes), dtype=np.intp), 1
+    g, size = np.zeros(len(codes), dtype=_rank_dtype(len(codes))), 1
     for k in range(codes.shape[1] - 1, -1, -1):
-        g, size = _dense_ranks(codes[:, k] * size + g, d * size)
+        keys = np.multiply(codes[:, k], size, dtype=np.intp)
+        keys += g
+        g, size = _dense_ranks(keys, d * size)
         yield g
 
 
 def _suffix_ranks(codes: np.ndarray) -> np.ndarray:
     """Rank table of _rank_pass: ranks[k, i] ranks codes[i, k:]; row 0 ranks the whole rows."""
-    ranks = np.empty(codes.shape[::-1], dtype=np.intp)
+    ranks = np.empty(codes.shape[::-1], dtype=_rank_dtype(len(codes)))
     for row, g in zip(ranks[::-1], _rank_pass(codes)):
         row[...] = g
     return ranks

@@ -42,9 +42,9 @@ class CorpusState:
     """State of a corpus cut before its last position.
 
     prefix_codes holds the distinct observed prefixes as alphabet codes, in
-    first-appearance order. columns[:, p] is the suffix-space image of
-    observed prefix p under the map associated to the corpus state: entries
-    sqrt(count(prefix, suffix) / n_samples).
+    first-appearance order and in the dataset's code dtype. columns[:, p] is
+    the suffix-space image of observed prefix p under the map associated to
+    the corpus state: entries sqrt(count(prefix, suffix) / n_samples).
     """
 
     dataset: SequenceDataset
@@ -61,7 +61,8 @@ class CorpusState:
         # C order: the BLAS products in pattern_density read columns as laid out
         cols = _readonly(np.ascontiguousarray(np.sqrt(counts / ds.n_samples).T))
         totals = _readonly(counts.sum(axis=1) / ds.n_samples)
-        return cls(ds, _readonly(prefixes, np.int64), totals, _labels(ds.alphabet, suffixes), cols)
+        prefixes = _readonly(prefixes, prefixes.dtype)
+        return cls(ds, prefixes, totals, _labels(ds.alphabet, suffixes), cols)
 
     @property
     def cut(self) -> int:

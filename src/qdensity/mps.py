@@ -47,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from ._format import dumps
-from .empirical import SequenceDataset, _suffix_ranks, line_tokens
+from .empirical import SequenceDataset, _code_dtype, _suffix_ranks, line_tokens
 from .qprob import Alphabet, _bounded, _readonly, _unit_total
 
 __all__ = [
@@ -176,10 +176,12 @@ def _group_sums(
 
     Column bond * d + bit of row g sums weights * mapped[:, bond] over the
     samples of group g whose physical symbol is bit, in sample order: one
-    bincount per bond column over the 1-D keys groups * d + bits.
+    bincount per bond column over the 1-D keys groups * d + bits, computed
+    in intp: the int32 groups times d can pass 2**31.
     """
     count, b = int(groups.max()) + 1, mapped.shape[1]
-    keys = groups * d + bits
+    keys = np.multiply(groups, d, dtype=np.intp)
+    keys += bits
     sums = np.empty((count, b, d))
     for j in range(b):
         sums[:, j] = np.bincount(keys, weights * mapped[:, j], minlength=count * d).reshape(count, d)
@@ -459,7 +461,7 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
         half = (t.reshape(l * d, r) @ envs[-1]).reshape(l, d * r)
         envs.append(half @ t.reshape(l, d * r).T)
     envs.reverse()  # envs[k] covers sites k..n-1 (0-based)
-    buffer = np.empty((min(CHAIN_BLOCK, count), m.n), dtype=np.min_scalar_type(d - 1))
+    buffer = np.empty((min(CHAIN_BLOCK, count), m.n), dtype=_code_dtype(d))
     for lo in range(0, count, CHAIN_BLOCK):
         chains = min(CHAIN_BLOCK, count - lo)
         rng = np.random.Generator(np.random.PCG64(seed).advance(lo))
@@ -496,7 +498,7 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
 
 def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
     """The (count, n) alphabet indices of count ancestral draws (see _draws)."""
-    choices = np.empty((count, m.n), dtype=np.min_scalar_type(m.physical_dim - 1))
+    choices = np.empty((count, m.n), dtype=_code_dtype(m.physical_dim))
     for lo, block in zip(range(0, count, CHAIN_BLOCK), _draws(m, count, seed)):
         choices[lo : lo + len(block)] = block
     return choices
@@ -569,19 +571,19 @@ def draw_even_subset(n: int, count: int, seed: int) -> SequenceDataset:
     count distinct indices in [0, 2**(n-1)) are drawn and sorted; index p
     is the string whose first n - 1 bits are p's binary digits, most
     significant first, and whose last bit is their parity. The bits are
-    shifted and masked in place, and their parity folded by xor, in one
-    (n, count) block whose row j is the dataset's column j; the dataset
-    takes over the block's transpose, its column-major code matrix, with
-    no copy.
+    shifted straight into one uint8 (n, count) block, masked in place, and
+    their parity folded by xor into its last row; row j is the dataset's
+    column j, and the dataset takes over the block's transpose, its
+    column-major code matrix, with no copy; only the picks are int64.
     """
     space = _even_space(n)
     if not 1 <= count <= space:
         raise ValueError(f"count must lie in [1, {space}]")
     rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(space, size=count, replace=False))
-    block = np.empty((n, count), dtype=np.int64)
-    bits = block[: n - 1]  # row j holds bit j of every string: pick >> (n - 2 - j)
-    np.right_shift(picks, np.arange(n - 2, -1, -1)[:, None], out=bits)
+    block = np.empty((n, count), dtype=_code_dtype(2))
+    bits = block[: n - 1]  # row j holds bit j of every string: pick >> (n - 2 - j), its low byte
+    np.right_shift(picks, np.arange(n - 2, -1, -1)[:, None], out=bits, casting="unsafe")
     bits &= 1
     np.bitwise_xor.reduce(bits, axis=0, out=block[n - 1])
     return SequenceDataset.__new__(SequenceDataset)._store(Alphabet(("0", "1")), block.T)

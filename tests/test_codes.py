@@ -10,6 +10,7 @@ from qdensity import mps
 from qdensity.empirical import (
     EmpiricalGraph,
     SequenceDataset,
+    _code_dtype,
     cut_counts,
     empirical_distribution,
     load_dataset,
@@ -39,6 +40,16 @@ def labels(tuples) -> tuple[str, ...]:
 def written(path, text: str):
     path.write_text(text)
     return path
+
+
+def int64_bytes(ds: SequenceDataset) -> int:
+    """The bytes ds.codes would take in int64: the unit of the memory bounds below,
+    so that a narrower code dtype cannot carry a bound down with it."""
+    return ds.n_samples * ds.length * 8
+
+
+def words(d: int) -> Alphabet:
+    return Alphabet(tuple(f"w{i}" for i in range(d)))
 
 
 def random_cases(seed: int, count: int):
@@ -112,8 +123,9 @@ class TestSplitMatchesCounterOracle:
             pattern_density(cs, {1: "a", 2: "z"})
 
     def test_cut_counts_memory_stays_near_the_codes(self):
-        # each side is ranked holding only the running ranks; a table of the
-        # ranks at every column of the 18-column suffix side peaked at 2.14x
+        # each side is ranked holding only the running ranks, int32, from the
+        # uint8 codes: 0.56x measured; int64 codes peaked at 1.29x, and a table
+        # of the ranks at every column of the 18-column suffix side at 2.14x
         ds = mps.draw_even_subset(20, 2**17, 0)
         tracemalloc.start()
         try:
@@ -122,7 +134,7 @@ class TestSplitMatchesCounterOracle:
         finally:
             tracemalloc.stop()
         assert len(prefixes) == 4 and counts.sum() == 2**17
-        assert peak < 1.5 * ds.codes.nbytes
+        assert peak < 0.75 * int64_bytes(ds)
 
 
 class TestCodes:
@@ -146,11 +158,20 @@ class TestCodes:
     def test_from_codes_round_trip(self):
         codes = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.int8)
         ds = SequenceDataset.from_codes(BITS, codes)
-        assert ds.codes.dtype == np.int64
+        assert ds.codes.dtype == _code_dtype(2) == np.uint8
         assert ds.samples == (("0", "1", "1"), ("1", "0", "1"))
         assert not ds.codes.flags.writeable
         codes[0, 0] = 1  # the dataset holds its own copy
         assert ds.codes[0, 0] == 0
+
+    @pytest.mark.parametrize("d, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65537, np.uint32)])
+    def test_from_codes_keeps_values_at_the_dtype_edges(self, d, dtype):
+        # the largest code of each alphabet, d - 1, is the largest its dtype must hold
+        codes = np.array([[0, d - 1], [d - 1, d // 2]], dtype=np.int64)
+        ds = SequenceDataset.from_codes(words(d), codes)
+        assert ds.codes.dtype == _code_dtype(d) == dtype
+        assert np.array_equal(ds.codes, codes)
+        assert ds.samples == (("w0", f"w{d - 1}"), (f"w{d - 1}", f"w{d // 2}"))
 
     def test_empty_code_matrix_keeps_length(self):
         ds = SequenceDataset.from_codes(BITS, np.empty((0, 4), dtype=np.int64))
@@ -183,14 +204,27 @@ class TestCodes:
             lambda tmp: load_dataset(written(tmp / "d.txt", "011\n101\n")),
             lambda tmp: mps.draw_even_subset(9, 40, 2),
             lambda tmp: mps.draw_even_subset(2, 1, 0),
+            lambda tmp: SequenceDataset(words(256), 2, [("w0", "w255"), ("w255", "w7")]),
+            lambda tmp: SequenceDataset(words(257), 2, [("w0", "w256"), ("w256", "w7")]),
+            lambda tmp: parse_dataset(f"w{i} w{255 - i}" for i in range(256)),
+            lambda tmp: load_dataset(written(tmp / "w.txt", "".join(f"w{i} w{256 - i}\n" for i in range(257)))),
         ],
-        ids=["init", "from_codes", "parse", "load", "draw", "draw_n2"],
+        ids=[
+            "init", "from_codes", "parse", "load", "draw", "draw_n2",
+            "init_256", "init_257", "parse_256", "load_257",
+        ],
     )
     def test_every_constructor_stores_read_only_int64_columns(self, build, tmp_path):
-        codes = build(tmp_path).codes
-        assert codes.dtype == np.int64
+        # the name predates the narrow codes: every constructor now stores the
+        # smallest unsigned dtype of its alphabet, _code_dtype(len(alphabet))
+        ds = build(tmp_path)
+        codes = ds.codes
+        assert codes.dtype == _code_dtype(len(ds.alphabet))
+        assert codes.dtype == (np.uint16 if len(ds.alphabet) > 256 else np.uint8)
         assert codes.flags.f_contiguous
         assert not codes.flags.writeable
+        reference = [[ds.alphabet.index(t) for t in sample] for sample in ds.samples]
+        assert np.array_equal(codes, reference)
 
 
 def string_even_subset(n: int, count: int, seed: int) -> tuple[tuple[str, ...], ...]:
@@ -224,8 +258,10 @@ class TestDrawEvenSubsetCodes:
         assert mps.draw_even_subset(n, count, seed).samples == string_even_subset(n, count, seed)
 
     def test_draw_memory_stays_near_the_codes(self):
-        # each bit column is written once, into the storage the dataset keeps;
-        # building the rows and then copying them into a dataset peaks near 3x
+        # each bit column is shifted once, straight into the uint8 storage the
+        # dataset keeps, with no int64 block: 0.19x measured, against 1.07x for
+        # int64 codes; building the rows and then copying them into a dataset
+        # peaked near 3x
         tracemalloc.start()
         try:
             ds = mps.draw_even_subset(20, 2**18, 0)
@@ -233,7 +269,7 @@ class TestDrawEvenSubsetCodes:
         finally:
             tracemalloc.stop()
         assert ds.codes.shape == (2**18, 20)
-        assert peak < 1.3 * ds.codes.nbytes
+        assert peak < 0.3 * int64_bytes(ds)
 
 
 class TestMaxWorkers:

@@ -56,6 +56,20 @@ class TestTrain:
             mat = t.reshape(-1, t.shape[2])
             assert np.max(np.abs(mat.T @ mat - np.eye(t.shape[2]))) < 1e-10
 
+    def test_memory_stays_near_the_codes(self):
+        # the parity_model benchmark's train, n = 20 at fraction 0.05: its int32
+        # suffix-rank table and the sweep's per-sample arrays peaked at 5.7 MB,
+        # 1.36x the codes' int64 bytes; with intp ranks, 7.9 MB (8.1 MB with
+        # int64 codes too)
+        ds = mps.draw_even_subset(20, mps.even_subset_count(20, 0.05), 0)
+        tracemalloc.start()
+        try:
+            mps.train(ds, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * ds.n_samples * ds.length * 8
+
     def test_odd_strings_unsupported_for_subsets(self):
         for seed in (3, 4):
             model = mps.train(random_even_subset(9, 40, seed=seed), CFG)
