@@ -369,9 +369,12 @@ def parity_eval(model_path, out):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "-o", type=click.Path(dir_okay=False), default=None)
 def parity_sample(model_path, count, seed, out):
-    """Draw sequences from a saved model, one per line."""
-    lines = mps.sample(mps.load_model(model_path), count, seed)
-    _emit("\n".join(lines), out)
+    """Draw sequences from a saved model, one per line, written as they are drawn."""
+    model = mps.load_model(model_path)
+    if count < 0:  # refused before --out is opened
+        raise _fail("count must be nonnegative")
+    with _output(out) as fh:
+        mps.sample(model, count, seed, fh)
 
 
 @parity.command("experiment")

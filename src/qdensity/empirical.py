@@ -185,7 +185,7 @@ def load_dataset(path) -> SequenceDataset:
 
 
 def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
-    """Rank of every key among the distinct keys, and their count; keys lie in [0, span).
+    """Rank of every key among the distinct keys, in _rank_dtype, and their count; keys lie in [0, span).
 
     When the span is at most twice the key count, a presence table over the
     span ranks each key by the table's running count: O(span) work and no
@@ -199,7 +199,7 @@ def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:
         table -= 1
         return table[keys], int(table[-1]) + 1 if span else 0
     distinct = np.unique(keys)
-    return np.searchsorted(distinct, keys), len(distinct)
+    return np.searchsorted(distinct, keys).astype(_rank_dtype(len(keys))), len(distinct)
 
 
 def _rank_pass(codes: np.ndarray) -> Iterator[np.ndarray]:

@@ -20,14 +20,16 @@ for the weights; and a Born probability multiplies its string's site
 matrices pairwise, in ceil(log2 n) levels. On first use a model caches a
 block table, the products of every 2**L consecutive padded site matrices
 under every choice of their symbols, made by the tree's own lower L
-levels, with L as large as keeps it within 32 KB per padded site, and a
-dict from a block's tokens to its row; a call then looks up one row per
-block and multiplies only the levels above L. The per-chain work between
-the products is 1-D as well: the sampler keeps one running-sum column per
-symbol and takes each chain's branch by flat row, each block's draws
-become lines together, through a fixed-width string view when every
-symbol is one character, and a Born probability takes its block products
-from the flattened table by one take.
+levels, with L as large as keeps it within 32 KB per padded site, a dict
+from a block's tokens to its row, and the product of the blocks that hold
+real sites in the tree's order; a call then looks up one row per such
+block and multiplies only the levels above L, skipping the identity that
+a block of pad sites only would be. The per-chain work between the
+products is 1-D as well: the sampler keeps one running-sum column per
+symbol and takes each chain's branch by flat row, and each block's draws
+become lines together, through one byte gather and one decode when every
+symbol is one character of the same UTF-8 length, and are written out
+before the next block is drawn when the caller gives a file.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -39,6 +41,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -111,9 +114,10 @@ class MatrixProductState:
     alphabet names the physical basis states; it defaults to the index
     strings "0", ..., "d-1", which are the bits when d = 2.
 
-    born_cache holds born_probability's block table and its lookups into
-    the table (see _born_table). It is built on first use, never changed,
-    and takes no part in repr or pickling; == and hash are identity.
+    born_cache holds born_probability's block table, its flat rows, the
+    lookups of the blocks that hold real sites and their product (see
+    _born_table). It is built on first use, never changed, and takes no
+    part in repr or pickling; == and hash are identity.
     """
 
     n: int
@@ -292,19 +296,23 @@ def _born_stack(m: MatrixProductState) -> np.ndarray | None:
     return stack
 
 
-def _born_table(m: MatrixProductState) -> tuple[np.ndarray, tuple] | None:
-    """The model's block table, (P / w, d**w, B, B), and its keys; None when B > BORN_STACK_WIDTH.
+def _born_table(m: MatrixProductState) -> tuple | None:
+    """The model's block table, (P / w, d**w, B, B), its flat rows, the
+    lookups of its real blocks and their product; None when B > BORN_STACK_WIDTH.
 
     table[j, c] is the product of the padded matrices of sites j * w to
     j * w + w - 1 under the symbols whose base-d digits, most significant
     first, are c. It starts as _born_stack, w = 1, and doubles w by the
     pairwise products tab[0::2][:, :, None] @ tab[1::2][:, None, :], the
     products born_probability's tree would make, while the next level
-    holds at most P * BORN_STACK_WIDTH**3 floats. The keys are (j * d**w,
-    lo, hi, codes) per block j, real sites lo to hi - 1, codes mapping their
-    tokens to c with pad sites taking symbol 0: one dict per block width, at
-    most 2 * d**w + 1 entries, the last for the pad-only blocks' (). Cached
-    as m.born_cache on first use, the table read-only.
+    holds at most P * BORN_STACK_WIDTH**3 floats. The lookups are (j * d**w,
+    lo, hi, codes) per block j that holds real sites lo to hi - 1, codes
+    mapping their tokens to c with pad sites taking symbol 0: one dict per
+    block width, at most 2 * d**w entries. A block of pad sites only is the
+    identity, so it has no lookup, and the product multiplies the real
+    blocks in the tree's order, a block whose partner is pad-only carried
+    up a level as it is. Cached as m.born_cache on first use, the table
+    read-only.
     """
     if m.born_cache is None:
         table = _born_stack(m)
@@ -317,15 +325,28 @@ def _born_table(m: MatrixProductState) -> tuple[np.ndarray, tuple] | None:
             pairs = table[0::2][:, :, None] @ table[1::2][:, None, :]
             table = pairs.reshape(blocks // 2, combos * combos, bond, bond)
         table.flags.writeable = False
-        width, combos = depth // len(table), table.shape[1]
-        spans = [(min(lo, m.n), min(lo + width, m.n)) for lo in range(0, depth, width)]
+        blocks, combos, bond, _ = table.shape
+        width = depth // blocks
+        spans = [(lo, min(lo + width, m.n)) for lo in range(0, m.n, width)]
         codes = {}
         for k in {hi - lo for lo, hi in spans}:
             # product runs most significant first: its i-th k-tuple has c = i * d**(w - k)
             step = m.physical_dim ** (width - k)
             codes[k] = dict(zip(itertools.product(m.alphabet.symbols, repeat=k), range(0, combos, step)))
-        keys = tuple((j * combos, lo, hi, codes[hi - lo]) for j, (lo, hi) in enumerate(spans))
-        object.__setattr__(m, "born_cache", (table, keys))
+        lookups = tuple((j * combos, lo, hi, codes[hi - lo]) for j, (lo, hi) in enumerate(spans))
+
+        def tree(first: int, size: int):
+            """The product of leaves first to first + size - 1 of the tree, pad-only leaves left out."""
+            if size == 1:
+                return operator.itemgetter(first)
+            half = size // 2
+            if first + half >= len(lookups):
+                return tree(first, half)
+            left, right = tree(first, half), tree(first + half, half)
+            return lambda mats: left(mats) @ right(mats)
+
+        flat = table.reshape(blocks * combos, bond, bond)
+        object.__setattr__(m, "born_cache", (table, flat, lookups, tree(0, blocks)))
     return m.born_cache
 
 
@@ -342,14 +363,15 @@ def born_probability(m: MatrixProductState, s) -> float:
     table within P * BORN_STACK_WIDTH**3 floats, P the length rounded up
     to a power of two, and one dict per block width from a block's tokens
     to c, its symbols read as a base-d number with pad sites taking symbol
-    0. A call looks each block's tokens up in its dict, and one take of the
-    flat rows j * d**w + c gathers the string's P / w block products; a
-    block of pad sites only takes row j * d**w. Pairwise products,
-    mats[0::2] @ mats[1::2], multiply them in the log2(P / w) levels left
-    of the log2 P-level tree: 2 of 5 for the n = 20 bit models of chi 2.
-    The amplitude is the product's top-left entry, the same float the full
-    tree over the site matrices gives. Models wider than BORN_STACK_WIDTH
-    contract left to right instead, one vector-matrix product per site.
+    0. A call looks each block that holds real sites up in its dict, takes
+    its matrix, flat row j * d**w + c, and multiplies those matrices by
+    the log2(P / w) levels left of the log2 P-level tree, one 2-D product
+    per pair: 2 products for the n = 20 bit models of chi 2, whose fourth
+    block holds pad sites only. A pad-only block is the identity, and
+    X @ I is X up to the sign of its zeros, so the amplitude's square is
+    the float the full tree over the site matrices gives. Models wider
+    than BORN_STACK_WIDTH contract left to right instead, one
+    vector-matrix product per site.
     """
     tokens = _tokens(m, s)
     cache = _born_table(m)
@@ -358,17 +380,13 @@ def born_probability(m: MatrixProductState, s) -> float:
         for tensor, i in zip(m.tensors, _indices(m, tokens)):
             vec = vec @ tensor[:, i, :]
         return float(vec[0] ** 2)
-    table, lookups = cache
+    _, flat, lookups, product = cache
     try:
-        keys = [row + codes[tokens[lo:hi]] for row, lo, hi, codes in lookups]
+        mats = [flat[row + codes[tokens[lo:hi]]] for row, lo, hi, codes in lookups]
     except KeyError:
         _indices(m, tokens)  # names the first token outside the alphabet
         raise
-    blocks, combos, bond, _ = table.shape
-    mats = table.reshape(blocks * combos, bond, bond).take(keys, axis=0)
-    while len(mats) > 1:
-        mats = mats[0::2] @ mats[1::2]
-    return float(mats[0, 0, 0] ** 2)
+    return float(product(mats)[0, 0] ** 2)
 
 
 def distribution_table(m: MatrixProductState) -> np.ndarray:
@@ -504,7 +522,7 @@ def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
     return choices
 
 
-def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
+def sample(m: MatrixProductState, count: int, seed: int, fh=None) -> list[str] | None:
     """Ancestral draws from the exact Born distribution, seeded.
 
     Conditional probabilities come from right environments, so each symbol
@@ -523,27 +541,42 @@ def sample(m: MatrixProductState, count: int, seed: int) -> list[str]:
 
     Every chain takes its own uniforms of the seeded stream (see _draws),
     so the draws do not depend on the block size. Each block is decoded
-    whole as it is drawn, so only the lines outlive it: by a lookup in a
-    one-character string table, viewed as one n-character string per row,
-    when every symbol is one character and none is NUL, and otherwise by a
-    lookup in an object table and a join per row.
+    whole as it is drawn: when every symbol is one character of the same
+    UTF-8 length and none is a newline, by gathering its symbols' bytes
+    into one newline-led row per draw and decoding the block once, and
+    otherwise by a lookup in an object table and a join per row. Without
+    fh the lines are returned; with fh they are written to it,
+    newline-separated, one block at a time, so that only a block's lines
+    are held at once, and None is returned.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     symbols = m.alphabet.symbols
     chars = all(len(t) == 1 for t in symbols)
+    utf8 = [t.encode("utf-8", "surrogatepass") for t in symbols]
+    if chars and len(set(map(len, utf8))) == 1 and "\n" not in symbols:
+        table = np.frombuffer(b"".join(utf8), np.uint8).reshape(len(utf8), -1)
+    else:
+        table, sep = np.array(symbols, dtype=object), "" if chars else " "
     lines: list[str] = []
-    if chars and "\0" not in symbols:
-        # each row of a block viewed as one string; numpy strips a string's
-        # trailing NULs, so a NUL symbol takes the join below
-        table = np.array(symbols, dtype="<U1")
-        for block in _draws(m, count, seed):
-            lines.extend(table[block].view(f"<U{m.n}")[:, 0].tolist())
-        return lines
-    table, sep = np.array(symbols, dtype=object), "" if chars else " "
-    for block in _draws(m, count, seed):
-        lines.extend(map(sep.join, table[block].tolist()))
-    return lines
+    for lo, block in zip(range(0, count, CHAIN_BLOCK), _draws(m, count, seed)):
+        if table.dtype == object:
+            drawn = map(sep.join, table[block].tolist())
+            if fh is None:
+                lines.extend(drawn)
+                continue
+            text = "\n" + "\n".join(drawn)
+        else:
+            # a row per draw, its newline and then its symbols' bytes, decoded once a block
+            rows = np.empty((len(block), 1 + m.n * table.shape[1]), np.uint8)
+            rows[:, 0] = ord("\n")
+            rows[:, 1:] = table[block].reshape(len(block), -1)
+            text = str(rows.reshape(-1), "utf-8", "surrogatepass")
+            if fh is None:
+                lines.extend(text[1:].split("\n"))
+                continue
+        fh.write(text if lo else text[1:])  # no newline before the first line
+    return lines if fh is None else None
 
 
 def _even_space(n: int) -> int:

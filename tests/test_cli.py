@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qdensity
-from qdensity import linalg
+from qdensity import linalg, mps
 from qdensity.cli import _load_distribution_csv, main
 
 from conftest import FIVE_EDGE_LINES
@@ -198,13 +198,25 @@ class TestStreamedOutput:
         assert subprocess.run(run + ["--out", str(out)], env=env, timeout=120).returncode == 0
         assert shown.stdout == out.read_bytes() and len(shown.stdout) > 10**5
 
+    def test_sample_stdout_equals_the_out_file(self, runner, paths):
+        # the lines are written a chain block at a time: three blocks here
+        count = 2 * mps.CHAIN_BLOCK + 1
+        args = ["parity", "sample", "--model", str(paths["model"]), "--count", str(count), "--seed", "4"]
+        shown = invoke(runner, args)
+        assert shown.exit_code == 0
+        assert invoke(runner, args + ["--out", str(paths["out"])]).stdout_bytes == b""
+        assert shown.stdout_bytes == paths["out"].read_bytes()
+        lines = shown.stdout_bytes.decode().split("\n")
+        assert lines[-1] == "" and len(lines) == count + 1 and {len(s) for s in lines[:-1]} == {6}
+
     @pytest.mark.parametrize(
         "args, text",
         [
             (["reduce", "{corpus}", "--cut", "9"], None),
             (["reduce", "{bad}"], "x,y,p\na,u,-1\n"),
+            (["parity", "sample", "--model", "{model}", "--count", "-1"], None),
         ],
-        ids=["cut", "csv"],
+        ids=["cut", "csv", "sample-count"],
     )
     def test_refused_input_leaves_the_out_file_alone(self, runner, paths, tmp_path, args, text):
         paths["bad"] = tmp_path / "bad.csv"

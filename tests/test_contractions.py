@@ -161,6 +161,42 @@ class TestParentOracles:
             assert_born_matches_table(m)
 
 
+class Pieces:
+    """A file that keeps every piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+
+
+class TestStreamedSample:
+    """sample(m, count, seed, fh) writes the lines sample returns,
+    newline-separated, one write per chain block."""
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, mps.CHAIN_BLOCK - 1, mps.CHAIN_BLOCK + 1, 2 * mps.CHAIN_BLOCK + 1]
+    )
+    @pytest.mark.parametrize("name", list(parent_cases()))
+    def test_written_text_is_the_joined_lines(self, name, count):
+        m = parent_cases()[name]
+        fh = Pieces()
+        assert mps.sample(m, count, count, fh) is None
+        assert "".join(fh.pieces) == "\n".join(mps.sample(m, count, count))
+        assert len(fh.pieces) == -(-count // mps.CHAIN_BLOCK)
+
+    def test_surrogate_symbols_take_the_byte_gather(self):
+        # lone surrogates, three UTF-8 bytes each, are gathered and decoded
+        # back to themselves, as the parent's string table kept them
+        m = dataclasses.replace(mps.parity_target(7), alphabet=("\ud800", "\udc00"))
+        lines = mps.sample(m, 300, 9)
+        assert lines == parent_sample(m, 300, 9) and {len(s) for s in lines} == {7}
+        fh = Pieces()
+        mps.sample(m, 300, 9, fh)
+        assert fh.pieces == ["\n".join(lines)]
+
+
 def left_canonical_model(n: int, d: int, chi: int, scale: float, seed: int) -> MatrixProductState:
     """Random isometries, so every right environment has trace scale**2, and
     a last tensor of norm scale. A chain's unrescaled weights are about
@@ -281,21 +317,22 @@ class TestBornKeys:
         "n, spans",
         [
             (13, [(0, 8), (8, 13)]),  # the last block partly padded
-            (20, [(0, 8), (8, 16), (16, 20), (20, 20)]),  # and a block of pad sites only
+            (20, [(0, 8), (8, 16), (16, 20)]),  # and a fourth block of pad sites only, not looked up
             (16, [(0, 8), (8, 16)]),  # a power of two: no pad sites
         ],
     )
     def test_one_lookup_per_block(self, n, spans):
         m = block_case(n, 2, 4)
         mps.born_probability(m, "0" * n)
-        table, keys = m.born_cache
+        table, flat, keys, _ = m.born_cache
         assert [(lo, hi) for _, lo, hi, _ in keys] == spans
         combos = table.shape[1]
         assert [row for row, *_ in keys] == [j * combos for j in range(len(spans))]
-        # one dict per block width, the pad-only blocks' mapping () to 0
+        assert flat.shape == (len(table) * combos,) + table.shape[2:] and np.shares_memory(flat, table)
+        # one dict per block width
         dicts = {id(codes): codes for *_, codes in keys}
         assert sorted(map(len, dicts.values())) == sorted(2**k for k in {hi - lo for lo, hi in spans})
-        assert sum(map(len, dicts.values())) <= 2 * combos + 1
+        assert sum(map(len, dicts.values())) <= 2 * combos
 
     @pytest.mark.parametrize(
         "s, message",
@@ -363,7 +400,7 @@ class TestBornBlockTable:
     def test_table_holds_the_trees_block_products(self, n, d, bond):
         m = block_case(n, d, bond)
         stack = mps._born_stack(m)
-        table, _ = mps._born_table(m)
+        table, *_ = mps._born_table(m)
         depth = len(stack)
         blocks, combos = table.shape[:2]
         width = depth // blocks
@@ -383,8 +420,44 @@ class TestBornBlockTable:
         # an n = 20 bit model of chi 2: 4 blocks of 8 sites, 1024 rows, 32 KB
         m = mps.train(mps.draw_even_subset(20, 2000, 1), TrainConfig(chi=2))
         mps.born_probability(m, "0" * 20)
-        table, _ = m.born_cache
+        table, *_ = m.born_cache
         assert table.shape == (4, 256, 2, 2) and table.nbytes == 32768
+
+    def test_real_block_counts_reach_every_tree_shape(self):
+        # 1 to 4 real blocks, and more, each float-equal to the parent's full
+        # tree in test_probabilities_equal_the_parent_and_the_table: a lone
+        # block, pairs, a last block carried up a level, and deeper trees
+        counts = set()
+        for n, d, bond in BLOCK_CASES:
+            m = block_case(n, d, bond)
+            _, _, lookups, _ = mps._born_table(m)
+            counts.add(len(lookups))
+        assert {1, 2, 3, 4} <= counts and max(counts) >= 5
+
+    @pytest.mark.parametrize("n, d, bond", BLOCK_CASES)
+    def test_no_pad_only_block_is_looked_up(self, n, d, bond):
+        m = block_case(n, d, bond)
+        table, flat, lookups, product = mps._born_table(m)
+        blocks, combos = table.shape[:2]
+        width = len(mps._born_stack(m)) // blocks
+        real = -(-n // width)  # the blocks that hold a real site
+
+        class Rows:
+            """The flat rows, recording every row a call takes."""
+
+            def __init__(self):
+                self.taken = []
+
+            def __getitem__(self, row):
+                self.taken.append(row)
+                return flat[row]
+
+        rows = Rows()
+        object.__setattr__(m, "born_cache", (table, rows, lookups, product))
+        for codes in case_codes(m)[:50]:
+            rows.taken.clear()
+            mps.born_probability(m, [m.alphabet.symbols[i] for i in codes])
+            assert [row // combos for row in rows.taken] == list(range(real))
 
     def test_int_tokens_on_a_bit_model(self):
         m = block_case(13, 2, 4)
