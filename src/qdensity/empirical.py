@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .qprob import Alphabet, DensityMatrix, JointDistribution, _product_size, _readonly
+from .qprob import Alphabet, DensityMatrix, JointDistribution, _product_size, _readonly, _readonly_setstate
 
 __all__ = [
     "SequenceDataset",
@@ -78,6 +78,8 @@ class SequenceDataset:
 
     alphabet: Alphabet
     codes: np.ndarray
+
+    __setstate__ = _readonly_setstate
 
     def __init__(self, alphabet: Alphabet, length: int, samples: Iterable[Sequence[str]]):
         if length < 1:
@@ -158,7 +160,7 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
         raise ValueError(f"samples have mixed lengths {sorted(set(lengths))}")
     if alphabet is None:
         alphabet = Alphabet(("0", "1")) if set(seen) <= {"0", "1"} else seen
-    # remapped in the narrow dtype, so the parse holds no second int64 matrix
+    # the int32 first-appearance codes remapped in the narrow dtype: the parse holds no int64 matrix
     codes = alphabet.encode(seen).astype(_code_dtype(len(alphabet)))[codes]
     return SequenceDataset.from_codes(alphabet, codes.reshape(len(lengths), -1))
 
@@ -286,6 +288,8 @@ class EmpiricalGraph:
     prefixes: tuple[tuple[str, ...], ...]
     suffixes: tuple[tuple[str, ...], ...]
     counts: np.ndarray
+
+    __setstate__ = _readonly_setstate
 
     def __post_init__(self):
         counts = np.asarray(self.counts)

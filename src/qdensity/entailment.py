@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .empirical import SequenceDataset, _decode, _labels, cut_counts
-from .qprob import DENSITY_TOL, Alphabet, _readonly, _square
+from .qprob import DENSITY_TOL, Alphabet, _readonly, _readonly_setstate, _square
 
 __all__ = [
     "CorpusState",
@@ -52,6 +52,8 @@ class CorpusState:
     prefix_probs: np.ndarray
     suffix_alphabet: Alphabet
     columns: np.ndarray
+
+    __setstate__ = _readonly_setstate
 
     @classmethod
     def from_dataset(cls, ds: SequenceDataset) -> "CorpusState":
@@ -86,6 +88,8 @@ class EntailmentDensity:
     matrix: np.ndarray
     weight: float
     normalized: bool
+
+    __setstate__ = _readonly_setstate
 
     def __post_init__(self):
         mat = _readonly(self.matrix)

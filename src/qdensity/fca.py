@@ -56,6 +56,8 @@ class Relation:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "concept_masks"}
 
+    __setstate__ = qprob._readonly_setstate
+
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "Relation":
         """Build from related pairs, inferring alphabets in first-appearance order."""

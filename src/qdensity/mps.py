@@ -17,19 +17,14 @@ matrix products: the inner product and the sampler's right environments
 take two per site; the sampler takes blocks of CHAIN_BLOCK chains
 through every site, one product per site for every branch and two more
 for the weights; and a Born probability multiplies its string's site
-matrices pairwise, in ceil(log2 n) levels. On first use a model caches a
-block table, the products of every 2**L consecutive padded site matrices
-under every choice of their symbols, made by the tree's own lower L
-levels, with L as large as keeps it within 32 KB per padded site, a dict
-from a block's tokens to its row, and the product of the blocks that hold
-real sites in the tree's order; a call then looks up one row per such
-block and multiplies only the levels above L, skipping the identity that
-a block of pad sites only would be. The per-chain work between the
-products is 1-D as well: the sampler keeps one running-sum column per
-symbol and takes each chain's branch by flat row, and each block's draws
-become lines together, through one byte gather and one decode when every
-symbol is one character of the same UTF-8 length, and are written out
-before the next block is drawn when the caller gives a file.
+matrices pairwise, in ceil(log2 n) levels, reading the lower levels of
+the blocks that hold real sites from a table cached on first use (see
+_born_table). The per-chain work between the products is 1-D as well:
+the sampler keeps one running-sum column per symbol and takes each
+chain's branch by flat row, and each block's draws become lines
+together, through one byte gather and one decode when every symbol is
+one character of the same UTF-8 length, and are written out before the
+next block is drawn when the caller gives a file.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -41,7 +36,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -51,7 +45,7 @@ import numpy as np
 from . import linalg
 from ._format import dumps
 from .empirical import SequenceDataset, _code_dtype, _suffix_ranks, line_tokens
-from .qprob import Alphabet, _bounded, _readonly, _unit_total
+from .qprob import Alphabet, _bounded, _readonly, _readonly_setstate, _unit_total
 
 __all__ = [
     "TrainConfig",
@@ -114,10 +108,10 @@ class MatrixProductState:
     alphabet names the physical basis states; it defaults to the index
     strings "0", ..., "d-1", which are the bits when d = 2.
 
-    born_cache holds born_probability's block table, its flat rows, the
-    lookups of the blocks that hold real sites and their product (see
-    _born_table). It is built on first use, never changed, and takes no
-    part in repr or pickling; == and hash are identity.
+    born_cache holds born_probability's (table, amplitude): the block
+    table and the product of a string's blocks (see _born_table). It is
+    built on first use, never changed, and takes no part in repr or
+    pickling; == and hash are identity.
     """
 
     n: int
@@ -153,10 +147,7 @@ class MatrixProductState:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "born_cache"}
 
-    def __setstate__(self, state):
-        for t in state["tensors"]:
-            t.flags.writeable = False
-        self.__dict__.update(state)
+    __setstate__ = _readonly_setstate
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
@@ -297,21 +288,23 @@ def _born_stack(m: MatrixProductState) -> np.ndarray | None:
 
 
 def _born_table(m: MatrixProductState) -> tuple | None:
-    """The model's block table, (P / w, d**w, B, B), its flat rows, the
-    lookups of its real blocks and their product; None when B > BORN_STACK_WIDTH.
+    """The model's block table, (P / w, d**w, B, B), and its amplitude
+    function; None when B > BORN_STACK_WIDTH.
 
     table[j, c] is the product of the padded matrices of sites j * w to
     j * w + w - 1 under the symbols whose base-d digits, most significant
     first, are c. It starts as _born_stack, w = 1, and doubles w by the
     pairwise products tab[0::2][:, :, None] @ tab[1::2][:, None, :], the
     products born_probability's tree would make, while the next level
-    holds at most P * BORN_STACK_WIDTH**3 floats. The lookups are (j * d**w,
-    lo, hi, codes) per block j that holds real sites lo to hi - 1, codes
-    mapping their tokens to c with pad sites taking symbol 0: one dict per
-    block width, at most 2 * d**w entries. A block of pad sites only is the
-    identity, so it has no lookup, and the product multiplies the real
-    blocks in the tree's order, a block whose partner is pad-only carried
-    up a level as it is. Cached as m.born_cache on first use, the table
+    holds at most P * BORN_STACK_WIDTH**3 floats.
+
+    amplitude(tokens) is the product of a string's blocks in the tree's
+    order, its top-left entry the amplitude. Each leaf, a block j that
+    holds real sites lo to hi - 1, maps the token tuple tokens[lo:hi] to its
+    read-only (B, B) view table[j, c], pad sites taking symbol 0: a dict of
+    d**(hi - lo) entries. A block of pad sites only is the identity, so it
+    has no leaf, and a block whose partner is pad-only is carried up a
+    level as it is. Cached as m.born_cache on first use, the table
     read-only.
     """
     if m.born_cache is None:
@@ -325,28 +318,23 @@ def _born_table(m: MatrixProductState) -> tuple | None:
             pairs = table[0::2][:, :, None] @ table[1::2][:, None, :]
             table = pairs.reshape(blocks // 2, combos * combos, bond, bond)
         table.flags.writeable = False
-        blocks, combos, bond, _ = table.shape
-        width = depth // blocks
-        spans = [(lo, min(lo + width, m.n)) for lo in range(0, m.n, width)]
-        codes = {}
-        for k in {hi - lo for lo, hi in spans}:
-            # product runs most significant first: its i-th k-tuple has c = i * d**(w - k)
-            step = m.physical_dim ** (width - k)
-            codes[k] = dict(zip(itertools.product(m.alphabet.symbols, repeat=k), range(0, combos, step)))
-        lookups = tuple((j * combos, lo, hi, codes[hi - lo]) for j, (lo, hi) in enumerate(spans))
+        width = depth // len(table)
 
         def tree(first: int, size: int):
             """The product of leaves first to first + size - 1 of the tree, pad-only leaves left out."""
             if size == 1:
-                return operator.itemgetter(first)
+                lo, hi = first * width, min(first * width + width, m.n)
+                # product runs most significant first: its i-th tuple has c = i * d**(w - (hi - lo))
+                keys = itertools.product(m.alphabet.symbols, repeat=hi - lo)
+                block = dict(zip(keys, table[first, :: m.physical_dim ** (width - (hi - lo))]))
+                return lambda tokens: block[tokens[lo:hi]]
             half = size // 2
-            if first + half >= len(lookups):
+            if (first + half) * width >= m.n:
                 return tree(first, half)
             left, right = tree(first, half), tree(first + half, half)
-            return lambda mats: left(mats) @ right(mats)
+            return lambda tokens: left(tokens) @ right(tokens)
 
-        flat = table.reshape(blocks * combos, bond, bond)
-        object.__setattr__(m, "born_cache", (table, flat, lookups, tree(0, blocks)))
+        object.__setattr__(m, "born_cache", (table, tree(0, len(table))))
     return m.born_cache
 
 
@@ -357,21 +345,14 @@ def born_probability(m: MatrixProductState, s) -> float:
     a bit model may be ints), or a string read the way a dataset line is:
     tokens separated by spaces, or one token per character.
 
-    The first call on a model builds its block table (see _born_table):
-    the products of every w consecutive padded site matrices under every
-    choice of their symbols, w the widest power of two that keeps the
-    table within P * BORN_STACK_WIDTH**3 floats, P the length rounded up
-    to a power of two, and one dict per block width from a block's tokens
-    to c, its symbols read as a base-d number with pad sites taking symbol
-    0. A call looks each block that holds real sites up in its dict, takes
-    its matrix, flat row j * d**w + c, and multiplies those matrices by
-    the log2(P / w) levels left of the log2 P-level tree, one 2-D product
-    per pair: 2 products for the n = 20 bit models of chi 2, whose fourth
-    block holds pad sites only. A pad-only block is the identity, and
-    X @ I is X up to the sign of its zeros, so the amplitude's square is
-    the float the full tree over the site matrices gives. Models wider
-    than BORN_STACK_WIDTH contract left to right instead, one
-    vector-matrix product per site.
+    A call reads the matrix of each block that holds real sites by the
+    block's tokens and multiplies them by the levels of the pairwise tree
+    above the blocks, one 2-D product per pair (see _born_table): 2
+    products for an n = 20 bit model of chi 2, whose fourth block holds pad
+    sites only. A pad-only block is the identity, and X @ I is X up to the
+    sign of its zeros, so the amplitude's square is the float the full tree
+    over the site matrices gives. Models wider than BORN_STACK_WIDTH
+    contract left to right instead, one vector-matrix product per site.
     """
     tokens = _tokens(m, s)
     cache = _born_table(m)
@@ -380,13 +361,11 @@ def born_probability(m: MatrixProductState, s) -> float:
         for tensor, i in zip(m.tensors, _indices(m, tokens)):
             vec = vec @ tensor[:, i, :]
         return float(vec[0] ** 2)
-    _, flat, lookups, product = cache
     try:
-        mats = [flat[row + codes[tokens[lo:hi]]] for row, lo, hi, codes in lookups]
+        return float(cache[1](tokens)[0, 0] ** 2)
     except KeyError:
         _indices(m, tokens)  # names the first token outside the alphabet
         raise
-    return float(product(mats)[0, 0] ** 2)
 
 
 def distribution_table(m: MatrixProductState) -> np.ndarray:
@@ -512,14 +491,6 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
             vecs /= np.sqrt(scale)[:, None]
             del branch, weights, running, scaled, pick, chosen, scale  # only vecs outlives its site
         yield choices
-
-
-def _sample_codes(m: MatrixProductState, count: int, seed: int) -> np.ndarray:
-    """The (count, n) alphabet indices of count ancestral draws (see _draws)."""
-    choices = np.empty((count, m.n), dtype=_code_dtype(m.physical_dim))
-    for lo, block in zip(range(0, count, CHAIN_BLOCK), _draws(m, count, seed)):
-        choices[lo : lo + len(block)] = block
-    return choices
 
 
 def sample(m: MatrixProductState, count: int, seed: int, fh=None) -> list[str] | None:

@@ -58,6 +58,15 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _readonly_setstate(self, state: dict) -> None:
+    """The records' __setstate__: every array, in a field or a tuple field, read-only again."""
+    for value in state.values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    self.__dict__.update(state)
+
+
 def _unit_total(total: float, what: str, tol: float) -> None:
     """ValueError "{what} {total!r}, expected 1" unless total is within tol of 1; NaN never is."""
     if not abs(total - 1.0) <= tol:
@@ -132,10 +141,10 @@ class Alphabet:
 
     @classmethod
     def first_appearance(cls, tokens: Iterable[str]) -> tuple["Alphabet", np.ndarray]:
-        """The tokens' alphabet in first-appearance order, and each token's int64 code."""
+        """The tokens' alphabet in first-appearance order, and each token's int32 code."""
         positions: defaultdict[str, int] = defaultdict()
         positions.default_factory = positions.__len__  # a new token's code: the count before it
-        codes = np.fromiter(map(positions.__getitem__, tokens), dtype=np.int64)
+        codes = np.fromiter(map(positions.__getitem__, tokens), dtype=np.int32)
         return cls(tuple(positions)), codes
 
 
@@ -162,6 +171,8 @@ class JointDistribution:
     y_alphabet: Alphabet
     probs: np.ndarray
 
+    __setstate__ = _readonly_setstate
+
     def __post_init__(self):
         table = _table(self.probs, self.x_alphabet, self.y_alphabet, "probability table")
         if np.any(table < 0):
@@ -182,6 +193,8 @@ class PureState:
     x_alphabet: Alphabet
     y_alphabet: Alphabet
     amplitudes: np.ndarray
+
+    __setstate__ = _readonly_setstate
 
     def __post_init__(self):
         table = _table(self.amplitudes, self.x_alphabet, self.y_alphabet, "amplitude table")
@@ -209,6 +222,8 @@ class DensityMatrix:
 
     basis: Alphabet | ProductBasis
     matrix: np.ndarray
+
+    __setstate__ = _readonly_setstate
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
@@ -239,6 +254,8 @@ class SchmidtData:
     y_vectors: np.ndarray
     x_alphabet: Alphabet
     y_alphabet: Alphabet
+
+    __setstate__ = _readonly_setstate
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)

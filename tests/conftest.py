@@ -151,10 +151,21 @@ def reference_sample_codes(m, count: int, seed: int) -> np.ndarray:
     return choices
 
 
+def drawn_codes(m, count: int, seed: int) -> np.ndarray:
+    """The (count, n) alphabet indices of the sampler's count draws: every
+    block mps._draws yields, each copied as it comes, because the generator
+    reuses one buffer for all of them."""
+    from qdensity.empirical import _code_dtype
+    from qdensity.mps import _draws
+
+    blocks = [block.copy() for block in _draws(m, count, seed)]
+    return np.concatenate(blocks) if blocks else np.empty((0, m.n), dtype=_code_dtype(m.physical_dim))
+
+
 def parent_sample_codes(m, count: int, seed: int) -> np.ndarray:
-    """Oracle: mps._sample_codes as it was with a cumsum over (count, d) weights,
-    a matrix-product pick and a fancy row gather; its draws must be the
-    sampler's, byte for byte."""
+    """Oracle: the sampler's codes as they were drawn with a cumsum over
+    (count, d) weights, a matrix-product pick and a fancy row gather; its
+    draws must be the sampler's, byte for byte."""
     d = m.physical_dim
     envs: list[np.ndarray] = [np.ones((1, 1))]
     for t in reversed(m.tensors):

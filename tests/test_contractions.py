@@ -13,7 +13,13 @@ from qdensity import mps
 from qdensity.empirical import SequenceDataset
 from qdensity.mps import MatrixProductState, TrainConfig
 from qdensity.qprob import Alphabet
-from conftest import parent_born_probability, parent_sample, parent_sample_codes, reference_sample_codes
+from conftest import (
+    drawn_codes,
+    parent_born_probability,
+    parent_sample,
+    parent_sample_codes,
+    reference_sample_codes,
+)
 
 WORDS = Alphabet(("red", "green", "blue", "gold"))
 
@@ -129,7 +135,7 @@ class TestParentOracles:
     @pytest.mark.parametrize("name", list(parent_cases()))
     def test_draws_and_lines_equal_the_parent(self, name, count):
         m = parent_cases()[name]
-        codes = mps._sample_codes(m, count, seed=count)
+        codes = drawn_codes(m, count, seed=count)
         want = parent_sample_codes(m, count, seed=count)
         assert codes.dtype == want.dtype and codes.tobytes() == want.tobytes()
         assert mps.sample(m, count, seed=count) == parent_sample(m, count, seed=count)
@@ -147,7 +153,7 @@ class TestParentOracles:
         monkeypatch.setattr(mps, "BORN_STACK_WIDTH", width)
         m, twin = parent_cases()[name], parent_cases()[name]
         symbols = m.alphabet.symbols
-        rows = mps._sample_codes(m, 100, seed=8).tolist()
+        rows = drawn_codes(m, 100, seed=8).tolist()
         inputs = mps.sample(m, 300, seed=7) + [[symbols[i] for i in row] for row in rows]
         if all(t.isdigit() for t in symbols):
             inputs += rows  # ints, looked up by str()
@@ -303,36 +309,57 @@ class TestBornStackCache:
         assert all(not t.flags.writeable for t in m.tensors)
         with pytest.raises(ValueError):
             m.born_cache[0][0, 0, 0, 0] = 2.0
+        # a lone block's leaf is the amplitude: a read-only view into the table
+        leaf = m.born_cache[1](tuple("011000"))
+        assert leaf.shape == (2, 2) and np.shares_memory(leaf, m.born_cache[0])
+        with pytest.raises(ValueError):
+            leaf[0, 0] = 2.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.born_cache = None
         with pytest.raises(ValueError):
             m.tensors[1][0, 0, 0] = 2.0
 
 
+class SliceLog(tuple):
+    """A token tuple that records the (start, stop) of every slice taken of it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.spans.append((key.start, key.stop))
+        return tuple.__getitem__(self, key)
+
+
+def watched_call(amplitude, tokens):
+    """The spans one call of amplitude takes of the tokens, in order, and its product."""
+    watched = SliceLog(tokens)
+    watched.spans = []
+    product = amplitude(watched)
+    return watched.spans, product
+
+
 class TestBornKeys:
-    """born_probability's per-block lookups of a string's tokens: their
-    layout, and the messages of the strings they cannot look up."""
+    """born_probability's per-block reads of a string's tokens: their spans,
+    and the messages of the strings they cannot look up."""
 
     @pytest.mark.parametrize(
         "n, spans",
         [
             (13, [(0, 8), (8, 13)]),  # the last block partly padded
-            (20, [(0, 8), (8, 16), (16, 20)]),  # and a fourth block of pad sites only, not looked up
+            (20, [(0, 8), (8, 16), (16, 20)]),  # and a fourth block of pad sites only, never read
             (16, [(0, 8), (8, 16)]),  # a power of two: no pad sites
         ],
     )
     def test_one_lookup_per_block(self, n, spans):
         m = block_case(n, 2, 4)
         mps.born_probability(m, "0" * n)
-        table, flat, keys, _ = m.born_cache
-        assert [(lo, hi) for _, lo, hi, _ in keys] == spans
-        combos = table.shape[1]
-        assert [row for row, *_ in keys] == [j * combos for j in range(len(spans))]
-        assert flat.shape == (len(table) * combos,) + table.shape[2:] and np.shares_memory(flat, table)
-        # one dict per block width
-        dicts = {id(codes): codes for *_, codes in keys}
-        assert sorted(map(len, dicts.values())) == sorted(2**k for k in {hi - lo for lo, hi in spans})
-        assert sum(map(len, dicts.values())) <= 2 * combos
+        table, amplitude = m.born_cache
+        assert table.shape == (len(mps._born_stack(m)) // 8, 256, 4, 4) and not table.flags.writeable
+        for codes in case_codes(m)[:20]:
+            tokens = tuple(m.alphabet.symbols[i] for i in codes)
+            taken, product = watched_call(amplitude, tokens)
+            # each real block's tokens read once, in the tree's order, none from pad sites
+            assert taken == spans and all(lo < n for lo, _ in taken)
+            assert float(product[0, 0] ** 2) == mps.born_probability(m, tokens)
 
     @pytest.mark.parametrize(
         "s, message",
@@ -430,34 +457,22 @@ class TestBornBlockTable:
         counts = set()
         for n, d, bond in BLOCK_CASES:
             m = block_case(n, d, bond)
-            _, _, lookups, _ = mps._born_table(m)
-            counts.add(len(lookups))
+            _, amplitude = mps._born_table(m)
+            taken, _ = watched_call(amplitude, m.alphabet.symbols[:1] * n)
+            counts.add(len(taken))
         assert {1, 2, 3, 4} <= counts and max(counts) >= 5
 
     @pytest.mark.parametrize("n, d, bond", BLOCK_CASES)
     def test_no_pad_only_block_is_looked_up(self, n, d, bond):
         m = block_case(n, d, bond)
-        table, flat, lookups, product = mps._born_table(m)
-        blocks, combos = table.shape[:2]
-        width = len(mps._born_stack(m)) // blocks
-        real = -(-n // width)  # the blocks that hold a real site
-
-        class Rows:
-            """The flat rows, recording every row a call takes."""
-
-            def __init__(self):
-                self.taken = []
-
-            def __getitem__(self, row):
-                self.taken.append(row)
-                return flat[row]
-
-        rows = Rows()
-        object.__setattr__(m, "born_cache", (table, rows, lookups, product))
+        table, amplitude = mps._born_table(m)
+        width = len(mps._born_stack(m)) // len(table)
+        real = [(lo, min(lo + width, n)) for lo in range(0, n, width)]  # the blocks that hold a real site
         for codes in case_codes(m)[:50]:
-            rows.taken.clear()
-            mps.born_probability(m, [m.alphabet.symbols[i] for i in codes])
-            assert [row // combos for row in rows.taken] == list(range(real))
+            tokens = tuple(m.alphabet.symbols[i] for i in codes)
+            taken, product = watched_call(amplitude, tokens)
+            assert taken == real and all(lo < n for lo, _ in taken)
+            assert float(product[0, 0] ** 2) == mps.born_probability(m, tokens)
 
     def test_int_tokens_on_a_bit_model(self):
         m = block_case(13, 2, 4)

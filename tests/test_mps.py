@@ -9,7 +9,7 @@ from qdensity import mps
 from qdensity.empirical import SequenceDataset
 from qdensity.mps import MatrixProductState, TrainConfig
 from qdensity.qprob import Alphabet
-from conftest import BITS, dense_sweep_distribution, even_dataset, even_indices
+from conftest import BITS, dense_sweep_distribution, drawn_codes, even_dataset, even_indices
 
 CFG = TrainConfig(chi=2)
 
@@ -297,7 +297,7 @@ class TestSample:
     def test_zero_draws(self):
         model = mps.train(even_dataset(6), CFG)
         assert mps.sample(model, 0, seed=1) == []
-        assert mps._sample_codes(model, 0, seed=1).shape == (0, 6)
+        assert list(mps._draws(model, 0, seed=1)) == []
 
     @pytest.mark.parametrize("block", [1, 7, 64, 10**9])
     def test_draws_independent_of_chain_block(self, monkeypatch, block):
@@ -309,7 +309,7 @@ class TestSample:
         models = [mps.train(even_dataset(6), CFG), mps.train(SequenceDataset(words, 4, rows), TrainConfig(chi=3))]
 
         def drawn(m):
-            return [(mps._sample_codes(m, c, seed=19).tobytes(), mps.sample(m, c, seed=19)) for c in (1, 3, 150)]
+            return [(drawn_codes(m, c, seed=19).tobytes(), mps.sample(m, c, seed=19)) for c in (1, 3, 150)]
 
         expected = [drawn(m) for m in models]
         monkeypatch.setattr(mps, "CHAIN_BLOCK", block)
@@ -330,18 +330,20 @@ class TestSample:
         return 8192 * model.physical_dim * max(model.bond_dims) * 8
 
     def test_working_memory_does_not_grow_with_the_count(self):
-        # the chains go through the sites a block at a time, so the heap the
-        # draw needs besides its result is a few blocks' branches, whatever the
-        # count: 4.4 of them measured at every count from 8191 to 3 * 10**5
+        # the chains go through the sites a block at a time into one buffer, so
+        # a walk over the draws that keeps none of them needs a few blocks'
+        # branches, whatever the count: 4.4 of them measured at every count
+        # from 8191 to 3 * 10**5
         model = mps.train(mps.draw_even_subset(20, 2000, 1), CFG)
         for count in self.GROWTH_COUNTS:
             tracemalloc.start()
             try:
-                codes = mps._sample_codes(model, count, seed=20)
+                drawn = sum(len(block) for block in mps._draws(model, count, seed=20))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - codes.nbytes <= 8 * self.block_bytes(model), count
+            assert drawn == count
+            assert peak <= 8 * self.block_bytes(model), count
 
     def test_join_path_heap_does_not_grow_with_the_count(self):
         # word draws are joined a block at a time, so besides the lines it

@@ -1,10 +1,12 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from qdensity import entailment, mps, qprob
-from qdensity.empirical import SequenceDataset
+from qdensity.empirical import EmpiricalGraph, SequenceDataset
 from qdensity.fca import Relation
 from qdensity.qprob import Alphabet, DensityMatrix, JointDistribution, PureState, SchmidtData
 
@@ -24,8 +26,12 @@ def point_mass(n=2, m=2):
     )
 
 
+def _dataset():
+    return SequenceDataset(AB, 2, [("a", "b"), ("b", "a"), ("a", "a")])
+
+
 def _corpus():
-    return entailment.CorpusState.from_dataset(SequenceDataset(AB, 2, [("a", "b"), ("b", "a"), ("a", "a")]))
+    return entailment.CorpusState.from_dataset(_dataset())
 
 
 # each makes one of the records that hold arrays, equal in content on every call
@@ -37,7 +43,21 @@ ARRAY_RECORDS = {
     "Relation": lambda: Relation.from_pairs([("a", "x"), ("b", "y")]),
     "CorpusState": _corpus,
     "EntailmentDensity": lambda: entailment.pattern_density(_corpus(), {1: "a"}),
+    "SequenceDataset": _dataset,
+    "EmpiricalGraph": lambda: EmpiricalGraph.from_dataset(_dataset(), 1),
+    "MatrixProductState": lambda: mps.parity_target(5),
 }
+
+
+def held_arrays(value) -> list[np.ndarray]:
+    """Every array a value holds: itself, in its tuples, and in the fields of the records it holds."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in held_arrays(v)]
+    if dataclasses.is_dataclass(value):
+        return [a for v in vars(value).values() for a in held_arrays(v)]
+    return []
 
 
 def plain_distribution(probs):
@@ -56,6 +76,16 @@ class TestTypes:
         assert first == first and first != second
         assert hash(first) == hash(first)
         assert {first, second, first} == {second, first} and len({first, second}) == 2
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_RECORDS))
+    def test_records_stay_read_only_through_pickle(self, name):
+        record = ARRAY_RECORDS[name]()
+        back = pickle.loads(pickle.dumps(record))
+        arrays, restored = held_arrays(record), held_arrays(back)
+        assert arrays and len(restored) == len(arrays)
+        for a, b in zip(arrays, restored):
+            assert not b.flags.writeable
+            assert b.dtype == a.dtype and b.flags.f_contiguous == a.flags.f_contiguous and np.array_equal(a, b)
 
     def test_alphabet_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -96,7 +126,7 @@ class TestTypes:
     def test_first_appearance_codes_each_token(self):
         alphabet, codes = Alphabet.first_appearance(iter(["v", "u", "v", "w", "u"]))
         assert alphabet == Alphabet(("v", "u", "w"))
-        assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 0, 2, 1]
+        assert codes.dtype == np.int32 and codes.tolist() == [0, 1, 0, 2, 1]
         with pytest.raises(ValueError, match="nonempty"):
             Alphabet.first_appearance(())
 

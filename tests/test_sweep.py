@@ -255,3 +255,57 @@ def test_complete_ternary_set_is_exact():
     rows = list(itertools.product(symbols.symbols, repeat=4))
     model = mps.train(SequenceDataset(symbols, 4, rows), TrainConfig(chi=9))
     assert np.max(np.abs(mps.distribution_table(model) - 1 / 81)) < 1e-12
+
+
+def ledger_cases():
+    """Seeded bit and word datasets, d 2-3 and n 4-8, under every chi from 1 to d**2.
+
+    exact marks the cases whose every cut has rank at most chi: the complete
+    even set at chi >= 2, whose cuts have rank 2, and n = 4 at chi = d**2.
+    """
+    rng = np.random.default_rng(1515)
+    for n in range(4, 9):
+        bits = rng.integers(2, size=(int(rng.integers(5, 40)), n))
+        sets = {
+            "even": mps.draw_even_subset(n, 2 ** (n - 3) + 1, n),
+            "even-all": mps.draw_even_subset(n, 2 ** (n - 1), n),
+            "bits": SequenceDataset.from_codes(Alphabet(("0", "1")), bits),
+            "words2": SequenceDataset.from_codes(Alphabet(("yes", "no")), repeated_dataset(rng, 2, n).codes),
+            "words3": SequenceDataset.from_codes(Alphabet(("red", "green", "blue")), repeated_dataset(rng, 3, n).codes),
+        }
+        for name, ds in sets.items():
+            d = len(ds.alphabet)
+            for chi in range(1, d * d + 1):
+                exact = name == "even-all" and chi >= 2 or n == 4 and chi == d * d
+                yield pytest.param(ds, chi, exact, id=f"{name}-n{n}-chi{chi}")
+
+
+def signed_amplitudes(m) -> np.ndarray:
+    """The model's amplitudes of all d**n strings, lexicographic, signs kept."""
+    amps = m.tensors[0][0]
+    for t in m.tensors[1:]:
+        amps = np.tensordot(amps, t, axes=([-1], [0]))
+    return amps.reshape(-1)
+
+
+@pytest.mark.parametrize("ds, chi, exact", list(ledger_cases()))
+def test_truncation_ledger(ds, chi, exact):
+    # psi_T, the square roots of the training frequencies, is projected through
+    # the trained model's own isometries; the weight each cut discards is the
+    # sum of its unnormalized density's eigenvalues below the top chi, and all
+    # of them together are what the model loses: <model|psi_T>**2 = 1 - sum
+    model = mps.train(ds, TrainConfig(chi=chi))
+    d = len(ds.alphabet)
+    root = dense_amplitudes(ds)
+    vec, discarded, rank = root.reshape(d, -1), 0.0, 0  # the first tensor is the identity
+    for t in model.tensors[1:-1]:
+        left, _, right = t.shape
+        mat = vec.reshape(left * d, -1)
+        spectrum = np.linalg.eigvalsh(mat @ mat.T)[::-1]
+        discarded += spectrum[right:].sum()
+        rank = max(rank, int((spectrum > 1e-12).sum()))
+        vec = t.reshape(left * d, right).T @ mat
+    fidelity = (signed_amplitudes(model) @ root) ** 2
+    assert abs(fidelity - (1.0 - discarded)) <= 1e-12
+    if exact:
+        assert rank <= chi and abs(fidelity - 1.0) <= 1e-12
