@@ -2,12 +2,13 @@
 
 Results go to stdout or the --out file as JSON/CSV with pinned float
 formatting, JSON written as it is formatted, once the result exists.
-Every subcommand is deterministic given its flags and seeds. Errors go
-to stderr as one "Error: ..." line with exit status 1: the readers name
-the file and the line they refuse, or the offset of a byte that is not
-UTF-8, and any ValueError the library raises on input it refuses, such
-as a table above qprob.MAX_PRODUCT_DIM entries, is reported the same
-way, by the command group's one handler, never as a traceback.
+Every subcommand is deterministic given its flags and seeds. Every
+refusal is a ValueError, and the command group's one handler prints it
+to stderr as one "Error: ..." line with exit status 1, never as a
+traceback. A refusal of what a file holds names the file once, through
+empirical._naming: "{path}: line 3: ...", the offset of a byte that is
+not UTF-8, or a bound such as qprob.MAX_PRODUCT_DIM. A refusal of a flag
+does not name a file.
 """
 
 from __future__ import annotations
@@ -20,24 +21,11 @@ import numpy as np
 
 from . import entailment, fca, mps, qprob
 from ._format import csv_row, dumps
-from .empirical import _check_cut, _read_utf8, empirical_distribution, load_dataset
+from .empirical import _check_cut, _naming, empirical_distribution, load_dataset
 from .qprob import Alphabet, JointDistribution
 
 DIST_HEADER = "x,y,p"
 RELATION_HEADER = "x,y"
-
-
-def _fail(message: str) -> "click.ClickException":
-    return click.ClickException(message)
-
-
-@contextmanager
-def _refused_in(path):
-    """A ValueError the library raises on what the file holds, as an error line naming the file."""
-    try:
-        yield
-    except ValueError as exc:
-        raise _fail(f"{path}: {exc}")
 
 
 @contextmanager
@@ -67,21 +55,18 @@ def _emit_json(result: dict, out_path) -> None:
 
 def _read_order_file(path) -> tuple[Alphabet, Alphabet]:
     """Two lines: space-separated x symbols, then y symbols, each line's distinct."""
-    lines = [ln.strip() for ln in _read_utf8(path, list) if ln.strip()]
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.split() for ln in fh if ln.strip()]
     if len(lines) != 2:
-        raise _fail(f"ordering file {path} must have exactly two nonempty lines")
-    try:
-        return Alphabet(lines[0].split()), Alphabet(lines[1].split())
-    except ValueError as exc:
-        raise _fail(f"{path}: {exc}")
+        raise ValueError("ordering file must have exactly two nonempty lines")
+    return Alphabet(lines[0]), Alphabet(lines[1])
 
 
-def _csv_rows(path, header: str):
-    """(line number, stripped cells) of every nonblank line after the checked header."""
-    lines = _read_utf8(path, lambda fh: fh.read().splitlines())
-    if not lines or lines[0].strip() != header:
-        raise _fail(f"{path}: line 1: expected header {header!r}")
-    for lineno, raw in enumerate(lines[1:], start=2):
+def _csv_rows(fh, header: str):
+    """(line number, stripped cells) of every nonblank line of fh after the checked header."""
+    if fh.readline().strip() != header:
+        raise ValueError(f"line 1: expected header {header!r}")
+    for lineno, raw in enumerate(fh, start=2):
         line = raw.strip()
         if line:
             yield lineno, [c.strip() for c in line.split(",")]
@@ -89,34 +74,38 @@ def _csv_rows(path, header: str):
 
 def _load_distribution_csv(path, order) -> JointDistribution:
     entries: dict[tuple[str, str], float] = {}
-    for lineno, cells in _csv_rows(path, DIST_HEADER):
-        if len(cells) != 3:
-            raise _fail(f"{path}: line {lineno}: expected 3 fields, got {len(cells)}")
-        x, y, p_str = cells
-        try:
-            p = float(p_str)
-        except ValueError:
-            p = math.nan
-        if not math.isfinite(p):
-            raise _fail(f"{path}: line {lineno}: bad probability {p_str!r}")
-        if p < 0:
-            raise _fail(f"{path}: line {lineno}: negative probability {p_str}")
-        if (x, y) in entries:
-            raise _fail(f"{path}: line {lineno}: duplicate pair ({x}, {y})")
-        entries[(x, y)] = p
-    if not entries:
-        raise _fail(f"{path}: no probability rows")
+    with _naming(path), open(path, encoding="utf-8") as fh:
+        for lineno, cells in _csv_rows(fh, DIST_HEADER):
+            if len(cells) != 3:
+                raise ValueError(f"line {lineno}: expected 3 fields, got {len(cells)}")
+            x, y, p_str = cells
+            if not x or not y:
+                raise ValueError(f"line {lineno}: empty symbol")
+            try:
+                p = float(p_str)
+            except ValueError:
+                p = math.nan
+            if not math.isfinite(p):
+                raise ValueError(f"line {lineno}: bad probability {p_str!r}")
+            if p < 0:
+                raise ValueError(f"line {lineno}: negative probability {p_str}")
+            if (x, y) in entries:
+                raise ValueError(f"line {lineno}: duplicate pair ({x}, {y})")
+            entries[(x, y)] = p
+        if not entries:
+            raise ValueError("no probability rows")
     x_alpha, x_codes = Alphabet.first_appearance(x for x, _ in entries)
     y_alpha, y_codes = Alphabet.first_appearance(y for _, y in entries)
     if order is not None:
-        x_order, y_order = _read_order_file(order)
-        missing = set(x_alpha) - set(x_order) | set(y_alpha) - set(y_order)
-        if missing:
-            raise _fail(f"{order}: ordering file omits symbols: {sorted(missing)}")
+        with _naming(order):
+            x_order, y_order = _read_order_file(order)
+            missing = set(x_alpha) - set(x_order) | set(y_alpha) - set(y_order)
+            if missing:
+                raise ValueError(f"ordering file omits symbols: {sorted(missing)}")
         x_codes = x_order.encode(x_alpha)[x_codes]
         y_codes = y_order.encode(y_alpha)[y_codes]
         x_alpha, y_alpha = x_order, y_order
-    with _refused_in(path):
+    with _naming(path):
         qprob._product_size(len(x_alpha), len(y_alpha))  # before the table is allocated
         table = np.zeros((len(x_alpha), len(y_alpha)))
         table[x_codes, y_codes] = list(entries.values())
@@ -127,13 +116,13 @@ def _load_distribution_csv(path, order) -> JointDistribution:
 
 
 class _Group(click.Group):
-    """A command group that reports a ValueError from any of its commands as an error line."""
+    """A command group that prints a ValueError from any of its commands as the error line."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ValueError as exc:
-            raise _fail(str(exc))
+            raise click.ClickException(str(exc))
 
 
 @click.group(cls=_Group)
@@ -153,20 +142,21 @@ def cmd_reduce(input_path, cut, order, out):
     INPUT_PATH is either a distribution CSV with header x,y,p or, together
     with --cut, a dataset file with one sample per line.
     """
-    first = _read_utf8(input_path, lambda fh: fh.readline().strip())
+    with _naming(input_path), open(input_path, encoding="utf-8") as fh:
+        first = fh.readline().strip()
     # without --cut a comma marks a distribution CSV, so a misspelled header is reported
     if first == DIST_HEADER or cut is None and "," in first:
         if cut is not None:
-            raise _fail("--cut applies to dataset input, not to a distribution CSV")
+            raise ValueError("--cut applies to dataset input, not to a distribution CSV")
         pi = _load_distribution_csv(input_path, order)
     else:
         if cut is None:
-            raise _fail("dataset input needs --cut")
+            raise ValueError("dataset input needs --cut")
         if order is not None:
-            raise _fail("--order applies to a distribution CSV, not to dataset input")
+            raise ValueError("--order applies to a distribution CSV, not to dataset input")
         ds = load_dataset(input_path)
         _check_cut(ds.length, cut)  # a flag out of range, reported without the path
-        with _refused_in(input_path):
+        with _naming(input_path):
             pi = empirical_distribution(ds, cut)
     psi = qprob.build_state(pi)
     rho_x = qprob.reduced_via_gram(psi, "X")
@@ -195,13 +185,13 @@ def cmd_reduce(input_path, cut, order, out):
 
 def _load_relation_csv(path) -> fca.Relation:
     pairs = []
-    for lineno, cells in _csv_rows(path, RELATION_HEADER):
-        if len(cells) != 2 or not all(cells):
-            raise _fail(f"{path}: line {lineno}: expected two symbols")
-        pairs.append((cells[0], cells[1]))
-    if not pairs:
-        raise _fail(f"{path}: no related pairs")
-    with _refused_in(path):
+    with _naming(path), open(path, encoding="utf-8") as fh:
+        for lineno, cells in _csv_rows(fh, RELATION_HEADER):
+            if len(cells) != 2 or not all(cells):
+                raise ValueError(f"line {lineno}: expected two symbols")
+            pairs.append((cells[0], cells[1]))
+        if not pairs:
+            raise ValueError("no related pairs")
         return fca.Relation.from_pairs(pairs)
 
 
@@ -235,16 +225,16 @@ def _parse_pattern(text: str) -> dict[int, str]:
             continue
         pos_str, _, token = chunk.partition("=")
         if not token:
-            raise _fail(f"bad pattern entry {chunk!r}, expected POS=TOKEN")
+            raise ValueError(f"bad pattern entry {chunk!r}, expected POS=TOKEN")
         try:
             pos = int(pos_str.strip())
         except ValueError:
-            raise _fail(f"bad pattern position {pos_str!r}")
+            raise ValueError(f"bad pattern position {pos_str!r}")
         if pos in pattern:
-            raise _fail(f"pattern repeats position {pos}")
+            raise ValueError(f"pattern repeats position {pos}")
         pattern[pos] = token.strip()
     if not pattern:
-        raise _fail("pattern is empty")
+        raise ValueError("pattern is empty")
     return pattern
 
 
@@ -266,7 +256,7 @@ def cmd_entail(corpus_path, pattern, against, unnormalized, out):
     the latter.
     """
     ds = load_dataset(corpus_path)
-    with _refused_in(corpus_path):
+    with _naming(corpus_path):
         cs = entailment.CorpusState.from_dataset(ds)
     pat = _parse_pattern(pattern)
     ref = _parse_pattern(against)
@@ -303,9 +293,9 @@ def _parse_fractions(text: str) -> list[float]:
     try:
         fractions = [float(c) for c in text.split(",") if c.strip()]
     except ValueError:
-        raise _fail(f"bad fractions list {text!r}")
+        raise ValueError(f"bad fractions list {text!r}")
     if not fractions:
-        raise _fail("no fractions given")
+        raise ValueError("no fractions given")
     return fractions
 
 
@@ -322,18 +312,21 @@ def _parse_fractions(text: str) -> list[float]:
 def parity_train(n, fraction, data, chi, seed, model_path):
     """Train a model on even-parity data and save it as JSON."""
     if (data is None) == (fraction is None) or (data is None) == (n is None):
-        raise _fail("give either --data, or --fraction with --n")
+        raise ValueError("give either --data, or --fraction with --n")
     try:
         if data is not None:
             ds = load_dataset(data)
-            with _refused_in(data):
+            with _naming(data):
                 mps._check_trainable(ds)
         else:
             ds = mps.draw_even_subset(n, mps.even_subset_count(n, fraction), seed)
         model = mps.train(ds, mps.TrainConfig(chi=chi))
     except MemoryError:
-        what = data or f"a draw of {mps.even_subset_count(n, fraction)} samples"
-        raise _fail(f"training on {what} does not fit in memory")
+        if data is not None:
+            with _naming(data):
+                raise ValueError("training on this dataset does not fit in memory")
+        count = mps.even_subset_count(n, fraction)
+        raise ValueError(f"training on a draw of {count} samples does not fit in memory")
     mps.save_model(model, model_path)
     click.echo(f"model written to {model_path}", err=True)
 
@@ -353,7 +346,7 @@ def parity_eval(model_path, out):
     try:
         overlap = mps.inner_product(model, mps.parity_target(model.n))
     except ValueError as exc:
-        raise _fail(f"cannot score against the bit parity target: {exc}")
+        raise ValueError(f"cannot score against the bit parity target: {exc}")
     result = {
         "n": model.n,
         "inner_product": float(overlap),
@@ -372,7 +365,7 @@ def parity_sample(model_path, count, seed, out):
     """Draw sequences from a saved model, one per line, written as they are drawn."""
     model = mps.load_model(model_path)
     if count < 0:  # refused before --out is opened
-        raise _fail("count must be nonnegative")
+        raise ValueError("count must be nonnegative")
     with _output(out) as fh:
         mps.sample(model, count, seed, fh)
 
@@ -391,7 +384,7 @@ def parity_experiment(n, fractions, replicas, seed, chi, out):
         rows = mps.run_experiment(n, fracs, replicas, seed, mps.TrainConfig(chi=chi))
     except MemoryError:
         largest = mps.even_subset_count(n, max(fracs))
-        raise _fail(f"draws of up to {largest} samples do not fit in memory")
+        raise ValueError(f"draws of up to {largest} samples do not fit in memory")
     lines = ["fraction,replica,seed,n_samples,bhattacharyya"]
     for row in rows:
         lines.append(

@@ -15,13 +15,15 @@ only the running ranks, and the MPS sweep reads every cut's suffix groups
 off the table of all of them, _suffix_ranks, which is int32 below 2**31
 samples. Every key built from codes is computed in intp.
 
-A dataset file is read only by load_dataset, and a count table is allocated
-only by cut_counts, which checks qprob.MAX_PRODUCT_DIM first.
+A dataset file is read only by load_dataset, a file is named in a message
+only by _naming, and a count table is allocated only by cut_counts, which
+checks qprob.MAX_PRODUCT_DIM first.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from itertools import chain
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -165,25 +167,25 @@ def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> Seq
     return SequenceDataset.from_codes(alphabet, codes.reshape(len(lengths), -1))
 
 
-def _read_utf8(path, read):
-    """read(fh) of the file as UTF-8 text; a decoding failure, or a ValueError read raises, names the file."""
+@contextmanager
+def _naming(path):
+    """The only place a message names a file: a ValueError raised inside becomes "{path}: {message}"."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return read(fh)
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:  # decoded whole, the position counts from the file's start
-            try:
-                fh.read().decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-        raise ValueError(f"{path}: {exc}") from None
+        yield
     except ValueError as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            with open(path, "rb") as fh:  # decoded whole, the position counts from the file's start
+                try:
+                    fh.read().decode("utf-8")
+                except UnicodeDecodeError as whole:
+                    exc = whole
         raise ValueError(f"{path}: {exc}") from None
 
 
 def load_dataset(path) -> SequenceDataset:
-    """parse_dataset of the file's lines, streamed; a byte that is not UTF-8 is reported by offset."""
-    return _read_utf8(path, parse_dataset)
+    """parse_dataset of the file's lines, streamed; a refusal names the file."""
+    with _naming(path), open(path, encoding="utf-8") as fh:
+        return parse_dataset(fh)
 
 
 def _dense_ranks(keys: np.ndarray, span: int) -> tuple[np.ndarray, int]:

@@ -53,9 +53,7 @@ class Relation:
         table = qprob._table(self.incidence, self.x_alphabet, self.y_alphabet, "incidence", bool)
         object.__setattr__(self, "incidence", table)
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "concept_masks"}
-
+    __getstate__ = qprob._cacheless_getstate
     __setstate__ = qprob._readonly_setstate
 
     @classmethod

@@ -45,7 +45,7 @@ import numpy as np
 from . import linalg
 from ._format import dumps
 from .empirical import SequenceDataset, _code_dtype, _suffix_ranks, line_tokens
-from .qprob import Alphabet, _bounded, _readonly, _readonly_setstate, _unit_total
+from .qprob import Alphabet, _bounded, _cacheless_getstate, _readonly, _readonly_setstate, _unit_total
 
 __all__ = [
     "TrainConfig",
@@ -144,9 +144,7 @@ class MatrixProductState:
             raise ValueError("tensor entries must be finite")
         object.__setattr__(self, "tensors", tuple(map(_readonly, tensors)))
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "born_cache"}
-
+    __getstate__ = _cacheless_getstate
     __setstate__ = _readonly_setstate
 
     @property

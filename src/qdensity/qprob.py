@@ -16,7 +16,7 @@ order into the matrix M with M[a, i] = amplitude(x_i, y_a).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -65,6 +65,11 @@ def _readonly_setstate(self, state: dict) -> None:
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
     self.__dict__.update(state)
+
+
+def _cacheless_getstate(self) -> dict:
+    """The cached records' __getstate__: every field but the caches, those declared init=False."""
+    return {f.name: self.__dict__[f.name] for f in fields(self) if f.init}
 
 
 def _unit_total(total: float, what: str, tol: float) -> None:

@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -247,6 +246,9 @@ class TestDistributionCsvErrors:
             ("x,y,p\na,x,nan\na,y,1.0\n", None, "line 2: bad probability 'nan'"),
             ("x,y,p\na,x,inf\na,y,1.0\n", None, "line 2: bad probability 'inf'"),
             ("x,y,p\na,x,-inf\na,y,1.0\n", None, "line 2: bad probability '-inf'"),
+            # an empty symbol is refused, as the relation reader refuses it
+            ("x,y,p\na,u,0.5\n,u,0.5\n", None, "line 3: empty symbol"),
+            ("x,y,p\na, ,0.5\nb,u,0.5\n", None, "line 2: empty symbol"),
         ],
     )
     def test_message_and_exit_code(self, runner, tmp_path, text, order, message):
@@ -333,10 +335,9 @@ class TestDistributionCsvErrors:
         # the loader's own header check is reached only directly
         path = tmp_path / "d.csv"
         path.write_text("x,y,q\na,u,1\n")
-        with pytest.raises(click.ClickException) as err:
+        with pytest.raises(ValueError) as err:
             _load_distribution_csv(path, None)
-        assert err.value.exit_code == 1
-        assert err.value.message == f"{path}: line 1: expected header 'x,y,p'"
+        assert str(err.value) == f"{path}: line 1: expected header 'x,y,p'"
 
 
 class TestConcepts:
@@ -678,6 +679,64 @@ def test_library_value_error_is_an_error_line(runner, tmp_path, args, message):
     assert f"Error: {message.format(**paths)}\n" in result.output
     assert "Traceback" not in result.output
     assert not paths["out"].exists()
+
+
+WIDE_CORPUS = "".join(f"p{i} s{i}\n" for i in range(1100))
+WIDE_CSV = "x,y,p\n" + "".join(f"x{i},y{i % 1000},{1 / 1100!r}\n" for i in range(1100))
+
+
+@pytest.mark.parametrize(
+    "args, files, named, message",
+    [
+        (["reduce", "{data}", "--cut", "1"], {"data": b"a b\na  b\n"}, "data",
+         "line 2: malformed sample 'a  b\\n'"),
+        (["reduce", "{data}", "--cut", "1"], {"data": b"small ripe fruit\n\xff ripe fruit\n"}, "data",
+         "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte"),
+        (["parity", "train", "--data", "{data}", "--model", "{out}"], {"data": b"ab\nabc\n"}, "data",
+         "samples have mixed lengths [2, 3]"),
+        (["reduce", "{dist}"], {"dist": b"x,y,p\na,u,0.5\nb,v\n"}, "dist",
+         "line 3: expected 3 fields, got 2"),
+        (["reduce", "{dist}"], {"dist": WIDE_CSV.encode()}, "dist",
+         "product space of 1100000 entries exceeds the supported 1048576"),
+        (["concepts", "{relation}"], {"relation": b"x,y\na,b\nc\n"}, "relation",
+         "line 3: expected two symbols"),
+        (["reduce", "{dist}", "--order", "{order}"], {"dist": b"x,y,p\na,u,1\n", "order": b"a\n"}, "order",
+         "ordering file must have exactly two nonempty lines"),
+        (["reduce", "{dist}", "--order", "{order}"], {"dist": b"x,y,p\na,u,1\n", "order": b"a b a\nu\n"},
+         "order", "alphabet symbols must be distinct"),
+        (["reduce", "{dist}", "--order", "{order}"], {"dist": b"x,y,p\na,u,1\n", "order": b"b\nu\n"}, "order",
+         "ordering file omits symbols: ['a']"),
+        (["entail", "{data}", "--pattern", "1=p0", "--against", "1=p1"], {"data": WIDE_CORPUS.encode()}, "data",
+         "product space of 1210000 entries exceeds the supported 1048576"),
+    ],
+    ids=["dataset-line", "dataset-utf8", "train-data", "dist-line", "dist-product", "relation-line",
+         "order-lines", "order-duplicate", "order-omits", "entail-product"],
+)
+def test_refusal_names_its_file_once(runner, tmp_path, args, files, named, message):
+    # a refusal is one error line that names the refused file exactly once: a
+    # substring check would also pass on a doubled "path: path: ..."
+    paths = {name: tmp_path / name for name in ("data", "dist", "relation", "order", "out")}
+    for name, content in files.items():
+        paths[name].write_bytes(content)
+    result = runner.invoke(main, [a.format(**paths) for a in args])
+    assert result.exit_code == 1
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].count(str(paths[named])) == 1
+    assert result.output == f"Error: {paths[named]}: {message}\n"
+
+
+def test_training_out_of_memory_names_the_data_file_once(runner, tmp_path, monkeypatch):
+    data, model = tmp_path / "data.txt", tmp_path / "m.json"
+    data.write_text("abc\nbca\n")
+
+    def no_memory(ds, cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(mps, "train", no_memory)
+    result = runner.invoke(main, ["parity", "train", "--data", str(data), "--model", str(model)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {data}: training on this dataset does not fit in memory\n"
+    assert not model.exists()
 
 
 def test_import_leaves_the_process_pool_unloaded():
