@@ -132,6 +132,14 @@ def line_tokens(line: str) -> tuple[str, ...]:
     return tuple(line.split(" ")) if " " in line else tuple(line) if len(line) > 1 else (line,)
 
 
+def _check_symbols(symbols: Iterable[str]) -> None:
+    """ValueError unless line_tokens reads each symbol back from a stripped line of them."""
+    for t in symbols:
+        if not t or t != t.strip() or any(c in t for c in " \n\r"):
+            raise ValueError(f"symbol {t!r} cannot stand in a sample line: it is empty, holds a space, "
+                             "newline or carriage return, or starts or ends with whitespace")
+
+
 def parse_dataset(lines: Iterable[str], alphabet: Alphabet | None = None) -> SequenceDataset:
     """Parse one sample per line; tokens are space separated.
 

@@ -14,17 +14,16 @@ with the untruncated residual map. The resulting chain of order-3 tensors
 supports exact Born probabilities, inner products, ancestral sampling,
 and the subset-fraction experiment. Every contraction is a few large
 matrix products: the inner product and the sampler's right environments
-take two per site; the sampler takes blocks of CHAIN_BLOCK chains
-through every site, one product per site for every branch and two more
-for the weights; and a Born probability multiplies its string's site
-matrices pairwise, in ceil(log2 n) levels, reading the lower levels of
-the blocks that hold real sites from a table cached on first use (see
-_born_table). The per-chain work between the products is 1-D as well:
-the sampler keeps one running-sum column per symbol and takes each
-chain's branch by flat row, and each block's draws become lines
-together, through one byte gather and one decode when every symbol is
-one character of the same UTF-8 length, and are written out before the
-next block is drawn when the caller gives a file.
+take two per site; the sampler takes blocks of CHAIN_BLOCK chains from
+one shared first vector through every site, one product per site for
+every branch and two more for the weights; and a Born probability
+multiplies its string's site matrices pairwise, in ceil(log2 n) levels,
+reading the lower levels of the blocks that hold real sites from a table
+cached on first use (see _born_table). The per-chain work between the
+products is 1-D as well: the sampler keeps one running-sum column per
+symbol and takes each chain's branch by flat row, and each block's draws
+become lines together, through one byte gather and one decode, and are
+written out before the next block is drawn when the caller gives a file.
 
 Tensor layout: tensors[k] has axes (left bond, physical, right bond); the
 first tensor is the identity on the physical space with a dummy left bond,
@@ -44,7 +43,7 @@ import numpy as np
 
 from . import linalg
 from ._format import dumps
-from .empirical import SequenceDataset, _code_dtype, _suffix_ranks, line_tokens
+from .empirical import SequenceDataset, _check_symbols, _code_dtype, _suffix_ranks, line_tokens
 from .qprob import Alphabet, _bounded, _cacheless_getstate, _readonly, _readonly_setstate, _unit_total
 
 __all__ = [
@@ -106,7 +105,8 @@ class MatrixProductState:
     """Chain of order-3 tensors with finite entries and matching bond dimensions.
 
     alphabet names the physical basis states; it defaults to the index
-    strings "0", ..., "d-1", which are the bits when d = 2.
+    strings "0", ..., "d-1", which are the bits when d = 2, and holds only
+    symbols a sample line carries (see empirical._check_symbols).
 
     born_cache holds born_probability's (table, amplitude): the block
     table and the product of a string's blocks (see _born_table). It is
@@ -128,6 +128,7 @@ class MatrixProductState:
         symbols = tuple(str(i) for i in range(d)) if self.alphabet is None else tuple(self.alphabet)
         if len(symbols) != d or not all(isinstance(t, str) for t in symbols):
             raise ValueError(f"alphabet must be {d} strings, got {symbols!r}")
+        _check_symbols(symbols)
         object.__setattr__(self, "alphabet", Alphabet(symbols))
         # NaN fails the comparison, so it is refused here too
         if tensors[0].shape != (1, d, d) or not np.abs(tensors[0][0] - np.eye(d)).max() <= 1e-12:
@@ -182,11 +183,13 @@ def _group_sums(
 
 
 def _check_trainable(ds: SequenceDataset) -> None:
-    """The sweep's checks of its data: ValueError unless ds holds samples of length at least 3."""
+    """The sweep's checks of its data: ValueError unless ds holds samples of
+    length at least 3 over symbols a model holds."""
     if ds.length < 3:
         raise ValueError("training requires sequences of length at least 3")
     if not ds.n_samples:
         raise ValueError("training dataset is empty")
+    _check_symbols(ds.alphabet)
 
 
 def _sweep(ds: SequenceDataset, cfg: TrainConfig):
@@ -444,10 +447,18 @@ def overlap_distance(overlap: float) -> float:
 def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]:
     """The alphabet indices of count ancestral draws, one block of CHAIN_BLOCK rows at a time.
 
-    Each block of chains goes through every site into one buffer, so a
-    block holds its draws only until the next is requested. At site k,
-    block [lo, hi) draws the uniforms PCG64(seed) gives after k * count + lo
-    outputs, by advance: those an all-chains draw gives the block.
+    A block's chains go through every site together into one buffer, from
+    one shared first vector: the identity's rows are one-hot, so every
+    product with them is exact. At each site one product maps every
+    chain's vector through every symbol's slice; the conditional weights
+    are the branches' quadratic forms in the right environment, and a chain
+    picks the number of running weight sums (a cumsum's adds, one column at
+    a time) its uniform, scaled by the total, exceeds: symbol 0 when every
+    weight is zero. Its branch, taken by flat row, is rescaled by the
+    square root of its weight when that is not zero. At site k, block [lo,
+    hi) draws the uniforms PCG64(seed) gives after k * count + lo outputs,
+    by advance: those an all-chains draw gives the block, so the draws do
+    not depend on the block size.
     """
     d = m.physical_dim
     envs: list[np.ndarray] = [np.ones((1, 1))]
@@ -460,18 +471,17 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
     for lo in range(0, count, CHAIN_BLOCK):
         chains = min(CHAIN_BLOCK, count - lo)
         rng = np.random.Generator(np.random.PCG64(seed).advance(lo))
-        vecs = np.ones((chains, 1))
+        vecs = np.ones((1, 1))  # every chain's, until the first pick
         choices = buffer[:chains]
-        offsets = np.arange(chains) * d
         for k, t in enumerate(m.tensors):
             l, _, r = t.shape
-            branch = (vecs @ t.reshape(l, d * r)).reshape(chains * d, r)  # row c * d + p: chain c, symbol p
+            branch = (vecs @ t.reshape(l, d * r)).reshape(-1, r)  # row c * d + p: chain c, symbol p
             # ((branch @ env) * branch) @ ones(r), in place: a fresh array per step
             # made sample(50000) on the parity_model benchmark's model 4% slower
             weights = branch @ envs[k + 1]
             weights *= branch
             weights = weights @ np.ones(r)
-            weights = np.clip(weights, 0.0, None, out=weights).reshape(chains, d)
+            weights = np.clip(weights, 0.0, None, out=weights).reshape(-1, d)
             # running sums one symbol column at a time, the sequential adds of a
             # cumsum along the row; they never decrease, so a draw beyond the
             # total is beyond the other d - 1 too, and counting those caps the pick
@@ -482,7 +492,7 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
             rng.bit_generator.advance(count - chains)  # on to chain lo's uniform at the next site
             pick = sum(column < scaled for column in running)
             choices[:, k] = pick
-            chosen = offsets + pick
+            chosen = np.arange(len(vecs)) * d + pick
             vecs = branch.take(chosen, axis=0)
             scale = weights.reshape(-1)[chosen]
             scale[scale == 0] = 1.0  # an all-zero chain picks symbol 0 and stays as it is
@@ -492,59 +502,36 @@ def _draws(m: MatrixProductState, count: int, seed: int) -> Iterator[np.ndarray]
 
 
 def sample(m: MatrixProductState, count: int, seed: int, fh=None) -> list[str] | None:
-    """Ancestral draws from the exact Born distribution, seeded.
+    """Ancestral draws from the exact Born distribution, seeded (see _draws).
 
-    Conditional probabilities come from right environments, so each symbol
-    is drawn from its true conditional given the prefix so far. Blocks of
-    CHAIN_BLOCK chains advance together, one site per round: one matrix
-    product maps every chain's vector through every symbol's slice, the
-    conditional weights are the branches' quadratic forms in the
-    environment, and a chain picks the number of running weight sums its
-    uniform draw, scaled by the total, exceeds; one whose weights are all
-    zero picks symbol 0. The running sums are built one symbol column at a
-    time, 1-D adds in the order a cumsum along the row makes them. Its
-    chosen branch, taken by flat row, is rescaled by the square root of
-    its weight, when that is not zero. Each draw is a line of alphabet
-    tokens, joined without separator when every token is one character
-    and by single spaces otherwise, so parse_dataset reads the lines back.
-
-    Every chain takes its own uniforms of the seeded stream (see _draws),
-    so the draws do not depend on the block size. Each block is decoded
-    whole as it is drawn: when every symbol is one character of the same
-    UTF-8 length and none is a newline, by gathering its symbols' bytes
-    into one newline-led row per draw and decoding the block once, and
-    otherwise by a lookup in an object table and a join per row. Without
-    fh the lines are returned; with fh they are written to it,
+    Each draw is a line of alphabet tokens, joined without separator when
+    every token is one character and by single spaces otherwise, so
+    parse_dataset reads the lines back. Each block of draws is decoded as
+    it is drawn: it gathers the symbols' UTF-8 bytes, each led by the
+    separator and padded with 0xFF, a byte no UTF-8 holds, into one
+    newline-led row per line; the first separator becomes padding, and one
+    translate drops the padding before the block's one decode. Without fh
+    the lines are returned; with fh they are written to it,
     newline-separated, one block at a time, so that only a block's lines
     are held at once, and None is returned.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    symbols = m.alphabet.symbols
-    chars = all(len(t) == 1 for t in symbols)
-    utf8 = [t.encode("utf-8", "surrogatepass") for t in symbols]
-    if chars and len(set(map(len, utf8))) == 1 and "\n" not in symbols:
-        table = np.frombuffer(b"".join(utf8), np.uint8).reshape(len(utf8), -1)
-    else:
-        table, sep = np.array(symbols, dtype=object), "" if chars else " "
+    sep = b"" if all(len(t) == 1 for t in m.alphabet) else b" "
+    entries = [sep + t.encode("utf-8", "surrogatepass") for t in m.alphabet]
+    width = max(map(len, entries))
+    table = np.frombuffer(b"".join(e.ljust(width, b"\xff") for e in entries), np.uint8).reshape(-1, width)
     lines: list[str] = []
     for lo, block in zip(range(0, count, CHAIN_BLOCK), _draws(m, count, seed)):
-        if table.dtype == object:
-            drawn = map(sep.join, table[block].tolist())
-            if fh is None:
-                lines.extend(drawn)
-                continue
-            text = "\n" + "\n".join(drawn)
+        rows = np.empty((len(block), 1 + m.n * width), np.uint8)
+        rows[:, 0] = ord("\n")
+        rows[:, 1:] = table[block].reshape(len(block), -1)
+        rows[:, 1 : 1 + len(sep)] = 0xFF  # the first token's separator, if any
+        text = str(rows.tobytes().translate(None, b"\xff"), "utf-8", "surrogatepass")
+        if fh is None:
+            lines.extend(text[1:].split("\n"))
         else:
-            # a row per draw, its newline and then its symbols' bytes, decoded once a block
-            rows = np.empty((len(block), 1 + m.n * table.shape[1]), np.uint8)
-            rows[:, 0] = ord("\n")
-            rows[:, 1:] = table[block].reshape(len(block), -1)
-            text = str(rows.reshape(-1), "utf-8", "surrogatepass")
-            if fh is None:
-                lines.extend(text[1:].split("\n"))
-                continue
-        fh.write(text if lo else text[1:])  # no newline before the first line
+            fh.write(text if lo else text[1:])  # no newline before the first line
     return lines if fh is None else None
 
 
@@ -672,7 +659,8 @@ def save_model(m: MatrixProductState, path) -> None:
 
 
 def load_model(path) -> MatrixProductState:
-    """The model save_model wrote; any fault in the file is a ValueError("bad model file ...")."""
+    """The model save_model wrote: a unit-norm state, within 1e-9; any fault
+    in the file is a ValueError("bad model file ...")."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -683,6 +671,7 @@ def load_model(path) -> MatrixProductState:
         model = MatrixProductState(n, d, tensors, payload.get("alphabet"))  # absent: the default
         if list(model.bond_dims) != list(payload["bond_dims"]):
             raise ValueError("bond_dims field does not match the stored tensors")
+        _unit_total(inner_product(model, model), "squared norm", 1e-9)
     except KeyError as exc:
         raise ValueError(f"bad model file {path}: no {exc} field") from None
     except (TypeError, ValueError) as exc:

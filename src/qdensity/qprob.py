@@ -375,9 +375,10 @@ def reconstruct_state(sd: SchmidtData) -> PureState:
 
 
 def shannon_entropy(weights: np.ndarray) -> float:
-    """-sum w ln w over the weights above ENTROPY_CUTOFF."""
+    """-sum w ln w over the weights above ENTROPY_CUTOFF, floored at 0: a
+    weight rounded to 1 + 2**-52 gives -2.2e-16, and one of exactly 1 -0.0."""
     w = weights[weights > ENTROPY_CUTOFF]
-    return float(-(w * np.log(w)).sum())
+    return max(0.0, float(-(w * np.log(w)).sum()))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -28,6 +28,11 @@ FIVE_PHRASE_LINES = [
 # Five-edge bipartite graph: x1-y1, x2-y1, x2-y2, x3-y1, x3-y2.
 FIVE_EDGE_LINES = ["x1 y1", "x2 y1", "x2 y2", "x3 y1", "x3 y2"]
 
+# Model symbols that a sample line cannot carry, and ones it can: a tab
+# inside a word, a two-byte UTF-8 character, a lone surrogate, a word.
+REFUSED_SYMBOLS = ["", "a b", "a\nb", "a\rb", " a", "a\t"]
+ACCEPTED_SYMBOLS = ["a\tb", "é", "\ud800", "w12"]
+
 
 def three_phrase_distribution() -> JointDistribution:
     table = np.array([[1 / 3, 0.0], [1 / 3, 0.0], [0.0, 1 / 3]])

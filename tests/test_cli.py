@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,10 +14,17 @@ import qdensity
 from qdensity import linalg, mps
 from qdensity.cli import _load_distribution_csv, main
 
-from conftest import FIVE_EDGE_LINES
+from conftest import FIVE_EDGE_LINES, REFUSED_SYMBOLS
 
 THREE_EDGE_CSV = "x,y\norange,fruit\ngreen,fruit\npurple,vegetable\n"
 FOUR_EDGE_CSV = "x,y\norange,fruit\ngreen,fruit\ngreen,vegetable\npurple,vegetable\n"
+
+
+def symbol_model(symbol: str) -> str:
+    """A unit-norm n = 2 model file over the alphabet (symbol, "c")."""
+    tensors = [[[[1, 0], [0, 1]]], [[[0.6], [0]], [[0], [0.8]]]]
+    payload = {"n": 2, "physical_dim": 2, "alphabet": [symbol, "c"], "bond_dims": [1, 2, 1], "tensors": tensors}
+    return json.dumps(payload)
 
 
 @pytest.fixture
@@ -39,10 +47,14 @@ class TestReduce:
         assert np.allclose(payload["marginal_y"], [2 / 3, 1 / 3])
 
     def test_point_mass_entropy_zero(self, runner, tmp_path):
+        # each entropy is printed 0, not the -0 that json.loads reads as 0
         path = tmp_path / "point.csv"
         path.write_text("x,y,p\na,u,1.0\n")
-        payload = json.loads(invoke(runner, ["reduce", str(path)]).output)
-        assert payload["entropies"]["entanglement"] == 0.0
+        output = invoke(runner, ["reduce", str(path)]).output
+        assert json.loads(output)["entropies"]["entanglement"] == 0.0
+        assert [ln.strip() for ln in output.splitlines() if "von_neumann_" in ln or "entanglement" in ln] == [
+            '"von_neumann_x": 0,', '"von_neumann_y": 0,', '"entanglement": 0'
+        ]
 
     def test_five_edge_dataset(self, runner, tmp_path):
         path = tmp_path / "graph.txt"
@@ -570,7 +582,7 @@ class TestParity:
             ("[]", "the payload is not a JSON object"),
             ('{"n": 3, "physical_dim": 2, "bond_dims": [1], "tensors": 5}', "not iterable"),
             ('{"n": 3, "physical_dim": 2, "bond_dims": [1]}', "no 'tensors' field"),
-        ],
+        ] + [(symbol_model(t), f"symbol {t!r} cannot stand in a sample line") for t in REFUSED_SYMBOLS],
     )
     def test_malformed_model_file_is_reported(self, runner, tmp_path, command, payload, reason):
         bad = tmp_path / "m.json"
@@ -578,8 +590,24 @@ class TestParity:
         result = runner.invoke(main, ["parity", command, "--model", str(bad)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert f"Error: bad model file {bad}: " in result.output
+        assert result.output.startswith(f"Error: bad model file {bad}: ")
+        assert result.output.count("\n") == 1 and result.output.count(str(bad)) == 1
         assert reason in result.output
+
+    @pytest.mark.parametrize("command", [["eval"], ["sample", "--count", "3"]])
+    def test_model_file_off_unit_norm_is_refused(self, runner, tmp_path, command):
+        # a tripled last tensor is a state of squared norm 9, whose inner
+        # product with the target eval would report 3 times too large
+        model = tmp_path / "m.json"
+        invoke(runner, ["parity", "train", "--n", "8", "--fraction", "0.1", "--seed", "1", "--model", str(model)])
+        payload = json.loads(model.read_text())
+        payload["tensors"][-1] = (3 * np.array(payload["tensors"][-1])).tolist()
+        model.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["parity", command[0], "--model", str(model), *command[1:]])
+        assert result.exit_code == 1
+        refusal = rf"Error: bad model file {re.escape(str(model))}: squared norm (\S+), expected 1\n"
+        found = re.fullmatch(refusal, result.output)
+        assert found and abs(float(found[1]) - 9) < 1e-12
 
     @pytest.mark.parametrize("command", [["eval"], ["sample", "--count", "3"]])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
@@ -660,13 +688,34 @@ class TestParity:
             ["parity", "train", "--data", "{corpus}", "--chi", "40", "--model", "{out}"],
             "chi=40 exceeds the first step's rank bound 36",
         ),
+        (["entail", "{corpus}", "--pattern", "1", "--against", "1=small"],
+         "bad pattern entry '1', expected POS=TOKEN"),
+        (["entail", "{corpus}", "--pattern", "x=small", "--against", "1=small"], "bad pattern position 'x'"),
+        (["entail", "{corpus}", "--pattern", "1=small,1=large", "--against", "1=small"], "pattern repeats position 1"),
+        (["entail", "{corpus}", "--pattern", " , ", "--against", "1=small"], "pattern is empty"),
+        (["parity", "experiment", "--n", "6", "--fractions", "0.5,half", "--replicas", "1"],
+         "bad fractions list '0.5,half'"),
+        (["parity", "experiment", "--n", "6", "--fractions", ",", "--replicas", "1"], "no fractions given"),
+        (["parity", "experiment", "--n", "6", "--fractions", "0.5", "--replicas", "0"], "need at least one replica"),
+        (["parity", "eval", "--model", "{shape}"],
+         "bad model file {shape}: tensor 1 has shape (2, 3, 1), expected (left, 2, right)"),
+        (["parity", "eval", "--model", "{bond}"], "bad model file {bond}: bond mismatch between tensors 0 and 1"),
+        (["parity", "eval", "--model", "{open}"],
+         "bad model file {open}: last tensor must close with a bond of size 1"),
     ],
     ids=["reduce", "concepts", "entail", "train", "eval", "sample", "experiment", "entail-bound",
-         "train-data", "train-data-chi"],
+         "train-data", "train-data-chi", "pattern-entry", "pattern-position", "pattern-repeats", "pattern-empty",
+         "fractions-list", "fractions-none", "replicas", "model-shape", "model-bond", "model-open"],
 )
 def test_library_value_error_is_an_error_line(runner, tmp_path, args, message):
     # each command leaves the library's ValueError to the command group's one handler
-    paths = {name: tmp_path / name for name in ("corpus", "identity", "short", "model", "out", "wide", "two")}
+    names = ("corpus", "identity", "short", "model", "out", "wide", "two", "shape", "bond", "open")
+    paths = {name: tmp_path / name for name in names}
+    # n = 2 model files whose second tensor is (2, 3, 1), (3, 2, 1) and (2, 2, 2)
+    for name, second in (("shape", [[[1], [0], [0]], [[0], [1], [0]]]), ("bond", [[[1], [0]], [[0], [1]], [[0], [0]]]),
+                         ("open", [[[1, 0], [0, 1]], [[0, 0], [1, 0]]])):
+        payload = {"n": 2, "physical_dim": 2, "bond_dims": [1, 2, 1], "tensors": [[[[1, 0], [0, 1]]], second]}
+        paths[name].write_text(json.dumps(payload))
     paths["corpus"].write_text("small ripe fruit\nlarge ripe fruit\nsmall green vegetable\n")
     paths["two"].write_text("ab\nba\n")
     paths["wide"].write_text("".join(f"p{i} s{i}\n" for i in range(1100)))
@@ -708,9 +757,15 @@ WIDE_CSV = "x,y,p\n" + "".join(f"x{i},y{i % 1000},{1 / 1100!r}\n" for i in range
          "ordering file omits symbols: ['a']"),
         (["entail", "{data}", "--pattern", "1=p0", "--against", "1=p1"], {"data": WIDE_CORPUS.encode()}, "data",
          "product space of 1210000 entries exceeds the supported 1048576"),
+        (["entail", "{data}", "--pattern", "1=a", "--against", "1=b"], {"data": b"a\nb\n"}, "data",
+         "corpus sequences must have length at least 2"),
+        # a token led by a tab would be lost to a drawn line's strip
+        (["parity", "train", "--data", "{data}", "--model", "{out}"], {"data": b"a \tb c\nc a \tb\n"}, "data",
+         "symbol '\\tb' cannot stand in a sample line: it is empty, holds a space, newline or carriage return, "
+         "or starts or ends with whitespace"),
     ],
     ids=["dataset-line", "dataset-utf8", "train-data", "dist-line", "dist-product", "relation-line",
-         "order-lines", "order-duplicate", "order-omits", "entail-product"],
+         "order-lines", "order-duplicate", "order-omits", "entail-product", "entail-length", "train-symbol"],
 )
 def test_refusal_names_its_file_once(runner, tmp_path, args, files, named, message):
     # a refusal is one error line that names the refused file exactly once: a

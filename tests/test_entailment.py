@@ -54,6 +54,10 @@ class TestPatternDensity:
         with pytest.raises(ValueError):
             pattern_density(corpus, {4: "fruit"})
 
+    def test_empty_pattern(self, corpus):
+        with pytest.raises(ValueError, match="^pattern must assign at least one position$"):
+            pattern_density(corpus, {})
+
 
 class TestDecompose:
     def test_orange_weights(self, corpus):

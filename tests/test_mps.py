@@ -1,15 +1,26 @@
+import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qdensity import mps
-from qdensity.empirical import SequenceDataset
+from qdensity.empirical import SequenceDataset, parse_dataset
 from qdensity.mps import MatrixProductState, TrainConfig
 from qdensity.qprob import Alphabet
-from conftest import BITS, dense_sweep_distribution, drawn_codes, even_dataset, even_indices
+from conftest import (
+    ACCEPTED_SYMBOLS,
+    BITS,
+    REFUSED_SYMBOLS,
+    dense_sweep_distribution,
+    drawn_codes,
+    even_dataset,
+    even_indices,
+    parent_sample,
+)
 
 CFG = TrainConfig(chi=2)
 
@@ -322,33 +333,41 @@ class TestSample:
 
     @staticmethod
     def block_bytes(model) -> int:
-        """8192 chains' branches at the widest bond, the unit a block's working heap is counted in.
+        """8192 chains' branches at the widest bond past the first site's, chi,
+        the unit a block's working heap is counted in.
 
         A literal, not mps.CHAIN_BLOCK, so that a block that grows with the
-        count cannot carry the bound along with it.
+        count cannot carry the bound along with it; and chi, not the first
+        bond d, so that a first site branched per chain, (chains * d, d),
+        cannot hide in it.
         """
-        return 8192 * model.physical_dim * max(model.bond_dims) * 8
+        return 8192 * model.physical_dim * max(model.bond_dims[2:]) * 8
 
     def test_working_memory_does_not_grow_with_the_count(self):
-        # the chains go through the sites a block at a time into one buffer, so
-        # a walk over the draws that keeps none of them needs a few blocks'
-        # branches, whatever the count: 4.4 of them measured at every count
-        # from 8191 to 3 * 10**5
-        model = mps.train(mps.draw_even_subset(20, 2000, 1), CFG)
-        for count in self.GROWTH_COUNTS:
-            tracemalloc.start()
-            try:
-                drawn = sum(len(block) for block in mps._draws(model, count, seed=20))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert drawn == count
-            assert peak <= 8 * self.block_bytes(model), count
+        # the chains go through the sites a block at a time into one buffer,
+        # from one shared first vector, so a walk over the draws that keeps
+        # none of them needs a few blocks' branches, whatever the count and
+        # the alphabet: 4.4 of them measured on bits, 2.5 on 30 words of chi
+        # 4, at every count from 8191 to 3 * 10**5
+        rng = np.random.default_rng(25)
+        words = Alphabet(tuple(f"w{i}" for i in range(30)))
+        models = [mps.train(mps.draw_even_subset(20, 2000, 1), CFG),
+                  mps.train(SequenceDataset.from_codes(words, rng.integers(30, size=(900, 5))), TrainConfig(chi=4))]
+        for model in models:
+            for count in self.GROWTH_COUNTS:
+                tracemalloc.start()
+                try:
+                    drawn = sum(len(block) for block in mps._draws(model, count, seed=20))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert drawn == count
+                assert peak <= 8 * self.block_bytes(model), (model.physical_dim, count)
 
-    def test_join_path_heap_does_not_grow_with_the_count(self):
-        # word draws are joined a block at a time, so besides the lines it
+    def test_returned_lines_heap_does_not_grow_with_the_count(self):
+        # word draws are decoded a block at a time, so besides the lines it
         # returns, the heap sample needs is a block's, whatever the count:
-        # at most 1.9 blocks' branches measured from 8191 to 3 * 10**5 draws
+        # at most 2.4 blocks' branches measured from 8191 to 3 * 10**5 draws
         rng = np.random.default_rng(21)
         words = Alphabet(("red", "green", "blue"))
         model = mps.train(SequenceDataset.from_codes(words, rng.integers(3, size=(60, 6))), TrainConfig(chi=3))
@@ -365,8 +384,8 @@ class TestSample:
     def test_writer_heap_does_not_grow_with_the_count(self):
         # given a file, sample writes each block's lines before it draws the
         # next, so its heap is a few blocks' branches, whatever the count: at
-        # most 5.7 measured on the byte gather (bits), 3.5 on the join (words)
-        # and 3.1 on two-byte symbols, from 10**4 to 3 * 10**5 draws
+        # most 5.5 measured on bits, 3.7 on words and 3.0 on two-byte
+        # symbols, from 10**4 to 3 * 10**5 draws
         rng = np.random.default_rng(23)
 
         def trained(symbols, size):
@@ -431,6 +450,28 @@ class TestFirstTensor:
         else:
             with pytest.raises(ValueError, match="first tensor must be the identity"):
                 MatrixProductState(4, 2, scaled)
+
+
+class TestSymbolRule:
+    """A model holds only symbols whose drawn lines parse_dataset reads back as the draws."""
+
+    @pytest.mark.parametrize("symbol", REFUSED_SYMBOLS)
+    def test_refused_by_the_constructor_replace_and_train(self, symbol):
+        target = mps.parity_target(4)
+        ds = SequenceDataset.from_codes(Alphabet((symbol, "c")), [[0, 1, 1], [1, 0, 0]])
+        for build in (lambda: MatrixProductState(4, 2, target.tensors, (symbol, "c")),
+                      lambda: dataclasses.replace(target, alphabet=("c", symbol)),
+                      lambda: mps.train(ds, CFG)):
+            with pytest.raises(ValueError, match=f"^symbol {re.escape(repr(symbol))} cannot stand in a sample line"):
+                build()
+
+    @pytest.mark.parametrize("symbol", ACCEPTED_SYMBOLS)
+    def test_accepted_symbols_read_back_as_the_draws(self, symbol):
+        # ("é", "c") and ("\ud800", "c") are one character each but differ in UTF-8 length
+        m = MatrixProductState(6, 2, mps.parity_target(6).tensors, (symbol, "c"))
+        lines = mps.sample(m, 300, seed=26)
+        assert lines == parent_sample(m, 300, seed=26)
+        assert np.array_equal(parse_dataset(lines, m.alphabet).codes, drawn_codes(m, 300, seed=26))
 
 
 class TestModelFile:

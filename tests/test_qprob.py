@@ -503,6 +503,27 @@ class TestEntropies:
         rho = qprob.density_projection(qprob.build_state(three_phrase_distribution()))
         assert qprob.von_neumann_entropy(rho) == 0.0
 
+    def test_entropies_are_never_negative(self):
+        # a product state's entropies are 0 in exact arithmetic, and a pure
+        # state's von Neumann entropy too, but their computed weights round to
+        # 1 + 2**-52 about one time in five, and a weight of exactly 1 gives
+        # -0.0: every entropy is floored at 0.0, which is also no -0.0
+        rng = np.random.default_rng(2401)
+        entropies = []
+        for _ in range(200):
+            nx, ny = rng.integers(1, 6, size=2)
+            xs = Alphabet(tuple(f"x{i}" for i in range(nx)))
+            ys = Alphabet(tuple(f"y{i}" for i in range(ny)))
+            product = JointDistribution(xs, ys, np.outer(rng.dirichlet(np.ones(nx)), rng.dirichlet(np.ones(ny))))
+            for pi in (product, random_joint(rng, nx, ny)):
+                psi = qprob.build_state(pi)
+                entropies.append(qprob.entanglement_entropy(psi))
+                entropies.append(qprob.von_neumann_entropy(qprob.density_projection(psi)))
+                entropies += [qprob.von_neumann_entropy(qprob.reduced_via_gram(psi, side)) for side in "XY"]
+            root = rng.standard_normal((nx, nx))
+            entropies.append(qprob.von_neumann_entropy(DensityMatrix(xs, root @ root.T / np.trace(root @ root.T))))
+        assert all(e >= 0 and math.copysign(1, e) == 1 for e in entropies)
+
     def test_uniform_two_point(self):
         rho = DensityMatrix(Alphabet(("a", "b")), np.diag([0.5, 0.5]))
         assert np.isclose(qprob.von_neumann_entropy(rho), math.log(2), atol=1e-12)
